@@ -85,9 +85,6 @@ class PoleSet:
         """Indices of poles lying exactly at +1 (angle 0) or -1 (angle pi)."""
         return tuple(k for k, t in enumerate(self.angles) if t == 0.0 or t == math.pi)
 
-    def rotate(self, phi: float) -> "PoleSet":
-        return PoleSet(tuple(t + phi for t in self.angles))
-
     def conjugate(self) -> "PoleSet":
         return PoleSet(tuple(-t for t in self.angles))
 
@@ -267,11 +264,3 @@ def poles_digest(poles: PoleSet) -> str:
 
     payload = ",".join(repr(t) for t in poles.angles).encode()
     return hashlib.sha256(payload).hexdigest()[:12]
-
-
-def eval_abs_logderiv_array(points: np.ndarray, pole_points: np.ndarray) -> np.ndarray:
-    """|g| at an array of complex points; inf where a point hits a pole."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = 1.0 / (points[..., None] - pole_points)
-        s = terms.sum(axis=-1)
-    return np.abs(s)

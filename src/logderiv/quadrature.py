@@ -20,13 +20,28 @@ second-order closed-form tail instead.
 The disk integral of |g| reduces to an angular integral over [0, pi] of
 weighted radial means, each of which is again a panel integral; radial
 pools for all pending angles are refined together in lockstep batches.
+
+The panel layer is vectorized and bounded in memory, and none of it
+changes a bit of any result:
+
+- Ladders are built for many rows at once (one row per radial slice),
+  level j as w 2^-j, which is exact, so every cut is the float that
+  repeated halving gives.  Only levels still above their min width are
+  built, and rows are processed in chunks.
+- A radial slice that meets its tolerance is retired: its sums are
+  stored and its panels dropped, so later rounds work on pending
+  slices only.  Retired panels still count toward the panel cap.
+- Panels are evaluated in chunks whose (panels, 15, n) temporaries
+  stay below a fixed element count, once a whole evaluation passes a
+  size gate; smaller evaluations run in one shot.  lp_mean thus runs
+  in bounded memory up to n = 1024 and beyond.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +74,14 @@ _WG = np.array([
 GRADE_MIN_WIDTH = 1e-13
 _TAIL_WINDOW = 1e-8
 
+# Memory bounds of the panel layer.  An evaluation whose (panels, 15, n)
+# temporaries would exceed _CHUNK_GATE elements runs in chunks of at most
+# _CHUNK_ELEMENTS; smaller ones stay single-shot.  Ladders are built
+# for at most _LADDER_ELEMENTS (row, ladder) pairs at a time.
+_CHUNK_GATE = 1 << 20
+_CHUNK_ELEMENTS = 1 << 17
+_LADDER_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class MeanSpec:
@@ -87,62 +110,131 @@ class QuadratureResult:
     function_evals: int
 
 
-def _graded_cuts(
+def _graded_panels(
     lo: float,
     hi: float,
-    breaks: Iterable[float],
-    ladders: Iterable[Tuple[float, float, float, int]],
-) -> np.ndarray:
-    """Cut points: plain breaks plus geometric ladders toward singular points.
+    breaks: Sequence[float],
+    centers,
+    halfwidths,
+    min_widths,
+    sides,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panels (row, a, b) between cut points, built for many rows at once.
 
-    Each ladder is (center, halfwidth, min_width, sides); sides is -1 for
-    a one-sided ladder below the center, +1 above, 0 for both.
+    Every row is cut at lo, hi, the breaks inside (lo, hi), and one
+    geometric ladder per column toward each center c: the points
+    c -+ w 2^-j for every level j with w 2^-j above the ladder's min
+    width.  sides is -1 for a one-sided ladder below the center, +1
+    above, 0 for both.  The ladder arrays broadcast to one (rows,
+    ladders) shape; 1-D arrays are one row.  Within a row, cuts closer
+    than 4e-16 to the previous one are dropped, and panels come out in
+    row order, left to right.
     """
-    pts = {lo, hi}
-    for b in breaks:
-        if lo < b < hi:
-            pts.add(float(b))
-    for c, w, mw, sides in ladders:
-        if lo < c < hi:
-            pts.add(float(c))
-        for s in ((-1.0, 1.0) if sides == 0 else (float(sides),)):
-            d = float(w)
-            while d > mw:
-                q = c + s * d
-                if lo < q < hi:
-                    pts.add(q)
-                d *= 0.5
-    arr = np.array(sorted(pts))
-    keep = np.concatenate(([True], np.diff(arr) > 4e-16))
-    return arr[keep]
+    c, w, mw, s = np.broadcast_arrays(
+        *(np.atleast_2d(np.asarray(v, dtype=float))
+          for v in (centers, halfwidths, min_widths, sides))
+    )
+    inner = [float(b) for b in breaks if lo < b < hi]
+    step = max(1, _LADDER_ELEMENTS // max(c.shape[1], 1))
+    parts = [
+        _graded_rows(lo, hi, inner, c[r : r + step], w[r : r + step],
+                     mw[r : r + step], s[r : r + step], r)
+        for r in range(0, c.shape[0], step)
+    ]
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _rule(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
+def _graded_rows(lo, hi, inner, c, w, mw, s, first_row):
+    rows = np.arange(first_row, first_row + c.shape[0])
+    grid = np.broadcast_to(rows[:, None], c.shape)
+    fixed = np.array([lo, hi, *inner])
+    inside = (lo < c) & (c < hi)
+    pr = [np.repeat(rows, len(fixed)), grid[inside]]
+    pv = [np.tile(fixed, len(rows)), c[inside]]
+    # Level j is w 2^-j: scaling by a power of two is exact, so each cut
+    # is the float that repeated halving gives.  Only ladders with a
+    # level above their min width are expanded, and only up to the
+    # deepest such level.
+    live = (w > mw).ravel()
+    lc, lw, lmw, ls, lr = (v.ravel()[live, None] for v in (c, w, mw, s, grid))
+    if lw.size:
+        depth = int(np.ceil(np.log2((lw / lmw).max()))) + 2
+        d = np.ldexp(lw, -np.arange(depth))
+        level = d > lmw
+        for sign in (-1.0, 1.0):
+            q = lc + sign * d
+            ok = level & (ls != -sign) & (lo < q) & (q < hi)
+            pr.append(np.broadcast_to(lr, q.shape)[ok])
+            pv.append(q[ok])
+    v = np.concatenate(pv)
+    r = np.concatenate(pr)
+    order = np.lexsort((v, r))
+    v, r = v[order], r[order]
+    keep = np.ones(len(v), dtype=bool)
+    keep[1:] = (r[1:] != r[:-1]) | (np.diff(v) > 4e-16)
+    v, r = v[keep], r[keep]
+    same = r[1:] == r[:-1]
+    return r[1:][same], v[:-1][same], v[1:][same]
+
+
+def _in_chunks(fn, width: int, *cols: np.ndarray):
+    """fn over panel columns, in chunks when the evaluation is large.
+
+    width is the number of values fn builds per node, so one call holds
+    (panels, 15, width) temporaries.  Up to _CHUNK_GATE elements the
+    call is single-shot; above it, chunks of at most _CHUNK_ELEMENTS.
+    Every panel's value depends on that panel alone, so chunking changes
+    no bit of the result.  width 0 never chunks.
+    """
+    per = 15 * width
+    total = len(cols[0])
+    if total * per <= _CHUNK_GATE:
+        return fn(*cols)
+    step = max(1, _CHUNK_ELEMENTS // per)
+    parts = [fn(*(x[i : i + step] for x in cols)) for i in range(0, total, step)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _nodes(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    x = c[:, None] + h[:, None] * _XGK
-    y = f(x)
+    return h, c[:, None] + h[:, None] * _XGK
+
+
+def _kronrod(y: np.ndarray, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     k = h * (y * _WGK).sum(axis=1)
     g = h * (y[:, 1::2] * _WG).sum(axis=1)
     return k, np.abs(k - g)
 
 
+def _rule(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    width: int = 1,
+):
+    def once(a, b):
+        h, x = _nodes(a, b)
+        return _kronrod(f(x), h)
+
+    return _in_chunks(once, width, a, b)
+
+
 def _adaptive(
     f: Callable[[np.ndarray], np.ndarray],
-    cuts: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
     rel_tol: float,
     max_panels: int,
-    abs_floor: float = 0.0,
+    width: int = 1,
 ) -> QuadratureResult:
-    a = cuts[:-1].copy()
-    b = cuts[1:].copy()
-    k, e = _rule(f, a, b)
+    k, e = _rule(f, a, b, width)
     evals = 15 * len(a)
     while True:
         order = np.argsort(a, kind="stable")
         value = math.fsum(k[order].tolist())
         err = math.fsum(e[order].tolist())
-        target = max(rel_tol * abs(value), abs_floor)
+        target = rel_tol * abs(value)
         if err <= target:
             return QuadratureResult(value, err, False, len(a), evals)
         partial = QuadratureResult(value, err, False, len(a), evals)
@@ -165,7 +257,7 @@ def _adaptive(
         mid = 0.5 * (a[sel] + b[sel])
         new_a = np.concatenate([a[sel], mid])
         new_b = np.concatenate([mid, b[sel]])
-        nk, ne = _rule(f, new_a, new_b)
+        nk, ne = _rule(f, new_a, new_b, width)
         evals += 15 * len(new_a)
         keep = np.ones(len(a), dtype=bool)
         keep[sel] = False
@@ -210,14 +302,12 @@ def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
             g = g * np.abs(x) ** p
         return g
 
-    breaks = [0.0]
     ladders: List[Tuple[float, float, float, int]] = []
     for t in angles:
         if t == 0.0 or t == math.pi:
             continue
         c, y = math.cos(t), abs(math.sin(t))
         ladders.append((c, min(y, 2.0), GRADE_MIN_WIDTH, 0))
-        breaks.append(c)
 
     lo, hi = -1.0, 1.0
     tail_value = 0.0
@@ -241,8 +331,8 @@ def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
             lo = -1.0 + w
             ladders.append((lo, 0.5, w / 2.0, +1))
 
-    cuts = _graded_cuts(lo, hi, breaks, ladders)
-    core = _adaptive(integrand, cuts, spec.rel_tol, spec.max_panels)
+    _, a, b = _graded_panels(lo, hi, [0.0], *np.array(ladders).reshape(-1, 4).T)
+    core = _adaptive(integrand, a, b, spec.rel_tol, spec.max_panels, len(pts))
     return QuadratureResult(
         core.value + tail_value,
         core.error_estimate + tail_err,
@@ -254,6 +344,16 @@ def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
 
 # ---------------------------------------------------------------------------
 # Disk area integral via angular slices of weighted radial means.
+
+
+def _radial_panels(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial panels (slice, a, b) of the radial slices with pole
+    directions u = e^{i(theta_k - t)}, one row of u per slice: ladders
+    toward each projection Re u at height |Im u|."""
+    y = np.abs(u.imag)
+    return _graded_panels(
+        -1.0, 1.0, [0.0], u.real, np.minimum(y, 2.0), np.maximum(1e-10, y / 8.0), 0
+    )
 
 
 def _radial_batch(
@@ -270,6 +370,11 @@ def _radial_batch(
     make its slice divergent; nodes are interior points of angular
     panels so this cannot happen for honest inputs, but it is guarded
     by a deterministic nudge.
+
+    A slice whose error meets rel_tol is retired: its panels never
+    change again, so its sums are stored and its panels dropped, and
+    later rounds touch only pending slices.  Retired panels still count
+    toward panel_cap.
     """
     ts = ts.copy()
     for _ in range(4):
@@ -281,61 +386,50 @@ def _radial_batch(
     m = len(ts)
     u = np.exp(1j * (thetas[None, :] - ts[:, None]))  # (m, n)
 
-    tidx_list: List[np.ndarray] = []
-    a_list: List[np.ndarray] = []
-    b_list: List[np.ndarray] = []
-    for i in range(m):
-        ladders = []
-        for c, y in zip(u[i].real, np.abs(u[i].imag)):
-            ladders.append((c, min(y, 2.0), max(1e-10, y / 8.0), 0))
-        cuts = _graded_cuts(-1.0, 1.0, [0.0], ladders)
-        tidx_list.append(np.full(len(cuts) - 1, i))
-        a_list.append(cuts[:-1])
-        b_list.append(cuts[1:])
-    tidx = np.concatenate(tidx_list)
-    pa = np.concatenate(a_list)
-    pb = np.concatenate(b_list)
-
-    def eval_panels(ti, a, b):
-        c = 0.5 * (a + b)
-        h = 0.5 * (b - a)
-        x = c[:, None] + h[:, None] * _XGK
+    def kernel(ti, a, b):
+        h, x = _nodes(a, b)
         with np.errstate(divide="ignore", invalid="ignore"):
             y = np.abs((1.0 / (x[:, :, None] - u[ti][:, None, :])).sum(axis=-1))
         y *= np.abs(x)
-        k = h * (y * _WGK).sum(axis=1)
-        g = h * (y[:, 1::2] * _WG).sum(axis=1)
-        return k, np.abs(k - g)
+        return _kronrod(y, h)
 
-    def eval_chunked(ti, a, b, chunk=8192):
-        ks, es = [], []
-        for s in range(0, len(a), chunk):
-            k, e = eval_panels(ti[s : s + chunk], a[s : s + chunk], b[s : s + chunk])
-            ks.append(k)
-            es.append(e)
-        return np.concatenate(ks), np.concatenate(es)
-
-    pk, pe = eval_chunked(tidx, pa, pb)
+    tidx, pa, pb = _radial_panels(u)
+    pk, pe = _in_chunks(kernel, u.shape[1], tidx, pa, pb)
     evals = 15 * len(pa)
+    val = np.zeros(m)
+    err = np.zeros(m)
+    open_ = np.ones(m, dtype=bool)  # slices not yet retired
+    retired = 0  # panels of retired slices
+
+    def reduce_open():
+        # bincount adds each slice's panels in array order, and that
+        # order survives retirement, so the sums are the same bits as
+        # over the full panel set.
+        val[open_] = np.bincount(tidx, weights=pk, minlength=m)[open_]
+        err[open_] = np.bincount(tidx, weights=pe, minlength=m)[open_]
 
     for _ in range(max_rounds):
-        val = np.bincount(tidx, weights=pk, minlength=m)
-        err = np.bincount(tidx, weights=pe, minlength=m)
-        pending = err > rel_tol * np.abs(val)
+        reduce_open()
+        pending = open_ & (err > rel_tol * np.abs(val))
         if not pending.any():
-            return val, err, len(pa), evals
-        if len(pa) > panel_cap:
+            return val, err, retired + len(pa), evals
+        if retired + len(pa) > panel_cap:
             break
+        if (open_ & ~pending).any():
+            live = pending[tidx]
+            retired += len(pa) - int(live.sum())
+            tidx, pa, pb, pk, pe = tidx[live], pa[live], pb[live], pk[live], pe[live]
+            open_ = pending
         emax = np.zeros(m)
         np.maximum.at(emax, tidx, pe)
-        sel = pending[tidx] & (pe > 0.4 * emax[tidx]) & ((pb - pa) > 1e-15)
+        sel = (pe > 0.4 * emax[tidx]) & ((pb - pa) > 1e-15)
         if not sel.any():
             break
         mid = 0.5 * (pa[sel] + pb[sel])
         na = np.concatenate([pa[sel], mid])
         nb = np.concatenate([mid, pb[sel]])
         nt = np.concatenate([tidx[sel], tidx[sel]])
-        nk, ne = eval_chunked(nt, na, nb)
+        nk, ne = _in_chunks(kernel, u.shape[1], nt, na, nb)
         evals += 15 * len(na)
         keep = ~sel
         tidx = np.concatenate([tidx[keep], nt])
@@ -344,11 +438,12 @@ def _radial_batch(
         pk = np.concatenate([pk[keep], nk])
         pe = np.concatenate([pe[keep], ne])
 
-    val = np.bincount(tidx, weights=pk, minlength=m)
-    err = np.bincount(tidx, weights=pe, minlength=m)
+    reduce_open()
     raise ToleranceNotMet(
         "radial slices failed to converge",
-        result=QuadratureResult(float(val.sum()), float(err.sum()), False, len(pa), evals),
+        result=QuadratureResult(
+            float(val.sum()), float(err.sum()), False, retired + len(pa), evals
+        ),
     )
 
 
@@ -389,8 +484,10 @@ def area_integral(
         gap = max(left_gap, right_gap, 1e-3)
         ladders.append((s, 0.5 * gap, max(1e-6, gap * 2.0**-12), 0))
 
-    cuts = _graded_cuts(0.0, math.pi, sing, ladders)
-    core = _adaptive(outer_integrand, cuts, rel_tol, max_panels)
+    _, a, b = _graded_panels(0.0, math.pi, [], *np.array(ladders).reshape(-1, 4).T)
+    # width 0: each radial batch bounds its own memory, and its panel
+    # cap spans the whole batch, so the angular nodes are never split.
+    core = _adaptive(outer_integrand, a, b, rel_tol, max_panels, width=0)
     return QuadratureResult(
         core.value, core.error_estimate, False, core.panels, counters["evals"]
     )
