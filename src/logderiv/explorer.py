@@ -172,17 +172,21 @@ def optimize(
             )
         return record
 
+    # The last equally spaced angle is 2*pi, which normalises to 0: under
+    # the gauge it is the pinned angle, so the free angles are the rest,
+    # turned with the gauge.
     eq = equally_spaced(n).angles
+    start = np.array(eq[:-1]) + gauge_angle if gauge else np.array(eq)
     per_seed = budget // seeds
     if dim > 0 and per_seed < dim + 2:
-        fun(np.array(eq[1:] if gauge else eq))
+        fun(start)
         return finish(exhausted=True)
     for s in range(seeds):
         if dim == 0:
             fun(np.array([]))
             break
         if s == 0:
-            x0 = np.array(eq[1:] if gauge else eq)
+            x0 = start
         else:
             rng = np.random.default_rng([seed, s, n])
             x0 = rng.uniform(0.0, TWO_PI, dim)

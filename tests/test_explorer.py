@@ -206,3 +206,25 @@ def test_angles_sidecar_shape():
     assert side == [
         {"n": 2, "objective": AREA, "best_angles": [0.0, math.pi]}
     ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("gauge_angle", [0.0, 0.7])
+def test_area_seed0_start_is_equally_spaced(monkeypatch, n, gauge_angle):
+    # the first evaluation is the seed-0 start: n distinct angles forming
+    # the equally spaced set, turned by the gauge angle
+    import logderiv.explorer as explorer
+
+    seen = []
+
+    def fake_evaluate(obj, angles, rel_tol):
+        seen.append(tuple(angles))
+        return 5.0
+
+    monkeypatch.setattr(explorer, "_evaluate", fake_evaluate)
+    optimize(n, Objective(AREA), seeds=1, budget=100, seed=0, gauge_angle=gauge_angle)
+    start = sorted(np.mod(np.subtract(seen[0], gauge_angle), TWO_PI))
+    assert len(set(seen[0])) == n
+    if gauge_angle == 0.0:
+        assert tuple(sorted(seen[0])) == tuple(sorted(equally_spaced(n).angles))
+    assert np.allclose(start, np.arange(n) * TWO_PI / n, rtol=0.0, atol=1e-12)
