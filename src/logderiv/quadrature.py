@@ -34,7 +34,7 @@ changes a bit of any result:
 - Panels are evaluated in chunks whose (panels, 15, n) temporaries
   stay below a fixed element count, once a whole evaluation passes a
   size gate; smaller evaluations run in one shot.  lp_mean thus runs
-  in bounded memory up to n = 1024 and beyond.
+  in bounded memory (tested at n = 1024).
 """
 
 from __future__ import annotations
