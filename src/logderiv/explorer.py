@@ -176,17 +176,17 @@ def optimize(
     # the gauge it is the pinned angle, so the free angles are the rest,
     # turned with the gauge.
     eq = equally_spaced(n).angles
-    start = np.array(eq[:-1]) + gauge_angle if gauge else np.array(eq)
+    x_eq = np.array(eq[:-1]) + gauge_angle if gauge else np.array(eq)
     per_seed = budget // seeds
     if dim > 0 and per_seed < dim + 2:
-        fun(start)
+        fun(x_eq)
         return finish(exhausted=True)
     for s in range(seeds):
         if dim == 0:
             fun(np.array([]))
             break
         if s == 0:
-            x0 = start
+            x0 = x_eq
         else:
             rng = np.random.default_rng([seed, s, n])
             x0 = rng.uniform(0.0, TWO_PI, dim)

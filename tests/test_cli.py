@@ -168,6 +168,21 @@ def test_explore_single_pole_json(tmp_path):
     assert doc["record"]["bound_violations"] == 0
 
 
+def test_explore_timing_reports_numeric_seconds(tmp_path):
+    proc = run_cli("explore", "--n", "1", "--seeds", "1", "--budget", "100", "--timing")
+    assert proc.returncode == 0, proc.stderr
+    seconds = json.loads(proc.stdout)["record"]["seconds"]
+    assert type(seconds) is float and seconds > 0.0
+    out = tmp_path / "study.csv"
+    proc = run_cli(
+        "explore", "--n", "2", "--objective", "mean", "--p", "1.0",
+        "--seeds", "1", "--budget", "100", "--timing",
+        "--format", "csv", "--out", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(out.read_text().splitlines()[1].rsplit(",", 1)[1]) > 0.0
+
+
 def test_explore_budget_failure_exits_3(tmp_path):
     proc = run_cli(
         "explore", "--n", "4", "--seeds", "60", "--budget", "100"

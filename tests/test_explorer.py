@@ -228,3 +228,16 @@ def test_area_seed0_start_is_equally_spaced(monkeypatch, n, gauge_angle):
     if gauge_angle == 0.0:
         assert tuple(sorted(seen[0])) == tuple(sorted(equally_spaced(n).angles))
     assert np.allclose(start, np.arange(n) * TWO_PI / n, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, kind", [(1, AREA), (3, AREA), (2, MEAN)])
+def test_wall_time_is_a_float(monkeypatch, n, kind):
+    import logderiv.explorer as explorer
+
+    monkeypatch.setattr(explorer, "_evaluate", lambda obj, angles, rel_tol: 5.0)
+    obj = Objective(AREA) if kind == AREA else Objective(kind, p=1.0)
+    rec = optimize(n, obj, seeds=1, budget=100, seed=0)
+    assert type(rec.wall_time) is float and rec.wall_time >= 0.0
+    with pytest.raises(BudgetExhausted) as excinfo:
+        optimize(4, obj, seeds=60, budget=100, seed=0)
+    assert type(excinfo.value.record.wall_time) is float
