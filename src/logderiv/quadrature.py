@@ -31,10 +31,10 @@ changes a bit of any result:
 - A radial slice that meets its tolerance is retired: its sums are
   stored and its panels dropped, so later rounds work on pending
   slices only.  Retired panels still count toward the panel cap.
-- Panels are evaluated in chunks whose (panels, 15, n) temporaries
-  stay below a fixed element count, once a whole evaluation passes a
-  size gate; smaller evaluations run in one shot.  lp_mean thus runs
-  in bounded memory (tested at n = 1024).
+- The integrands of lp_mean and of the radial slices evaluate their
+  nodes in chunks whose (nodes, n) temporaries stay below a fixed
+  element count; smaller evaluations run in one shot.  lp_mean thus
+  runs in bounded memory (tested at n = 1024).
 """
 
 from __future__ import annotations
@@ -75,10 +75,9 @@ GRADE_MIN_WIDTH = 1e-13
 _TAIL_WINDOW = 1e-8
 
 # Memory bounds of the panel layer.  An evaluation whose (panels, 15, n)
-# temporaries would exceed _CHUNK_GATE elements runs in chunks of at most
-# _CHUNK_ELEMENTS; smaller ones stay single-shot.  Ladders are built
-# for at most _LADDER_ELEMENTS (row, ladder) pairs at a time.
-_CHUNK_GATE = 1 << 20
+# temporaries would exceed _CHUNK_ELEMENTS runs in chunks of at most
+# that many elements.  Ladders are built for at most _LADDER_ELEMENTS
+# (row, ladder) pairs at a time.
 _CHUNK_ELEMENTS = 1 << 17
 _LADDER_ELEMENTS = 1 << 16
 
@@ -178,17 +177,16 @@ def _graded_rows(lo, hi, inner, c, w, mw, s, first_row):
 
 
 def _in_chunks(fn, width: int, *cols: np.ndarray):
-    """fn over panel columns, in chunks when the evaluation is large.
+    """fn over panel columns, in chunks of at most _CHUNK_ELEMENTS.
 
     width is the number of values fn builds per node, so one call holds
-    (panels, 15, width) temporaries.  Up to _CHUNK_GATE elements the
-    call is single-shot; above it, chunks of at most _CHUNK_ELEMENTS.
+    (panels, 15, width) temporaries.  fn returns a tuple of columns.
     Every panel's value depends on that panel alone, so chunking changes
-    no bit of the result.  width 0 never chunks.
+    no bit of the result.
     """
     per = 15 * width
     total = len(cols[0])
-    if total * per <= _CHUNK_GATE:
+    if total * per <= _CHUNK_ELEMENTS:
         return fn(*cols)
     step = max(1, _CHUNK_ELEMENTS // per)
     parts = [fn(*(x[i : i + step] for x in cols)) for i in range(0, total, step)]
@@ -207,17 +205,9 @@ def _kronrod(y: np.ndarray, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return k, np.abs(k - g)
 
 
-def _rule(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: np.ndarray,
-    b: np.ndarray,
-    width: int = 1,
-):
-    def once(a, b):
-        h, x = _nodes(a, b)
-        return _kronrod(f(x), h)
-
-    return _in_chunks(once, width, a, b)
+def _rule(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
+    h, x = _nodes(a, b)
+    return _kronrod(f(x), h)
 
 
 def _adaptive(
@@ -226,9 +216,8 @@ def _adaptive(
     b: np.ndarray,
     rel_tol: float,
     max_panels: int,
-    width: int = 1,
 ) -> QuadratureResult:
-    k, e = _rule(f, a, b, width)
+    k, e = _rule(f, a, b)
     evals = 15 * len(a)
     while True:
         order = np.argsort(a, kind="stable")
@@ -257,7 +246,7 @@ def _adaptive(
         mid = 0.5 * (a[sel] + b[sel])
         new_a = np.concatenate([a[sel], mid])
         new_b = np.concatenate([mid, b[sel]])
-        nk, ne = _rule(f, new_a, new_b, width)
+        nk, ne = _rule(f, new_a, new_b)
         evals += 15 * len(new_a)
         keep = np.ones(len(a), dtype=bool)
         keep[sel] = False
@@ -295,12 +284,15 @@ def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
 
     p = spec.p
 
-    def integrand(x: np.ndarray) -> np.ndarray:
+    def values(x: np.ndarray) -> Tuple[np.ndarray]:
         with np.errstate(divide="ignore", invalid="ignore"):
             g = np.abs((1.0 / (x[..., None] - pts)).sum(axis=-1)) ** p
         if spec.weighted:
             g = g * np.abs(x) ** p
-        return g
+        return (g,)
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        return _in_chunks(values, len(pts), x)[0]
 
     ladders: List[Tuple[float, float, float, int]] = []
     for t in angles:
@@ -332,7 +324,7 @@ def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
             ladders.append((lo, 0.5, w / 2.0, +1))
 
     _, a, b = _graded_panels(lo, hi, [0.0], *np.array(ladders).reshape(-1, 4).T)
-    core = _adaptive(integrand, a, b, spec.rel_tol, spec.max_panels, len(pts))
+    core = _adaptive(integrand, a, b, spec.rel_tol, spec.max_panels)
     return QuadratureResult(
         core.value + tail_value,
         core.error_estimate + tail_err,
@@ -485,9 +477,7 @@ def area_integral(
         ladders.append((s, 0.5 * gap, max(1e-6, gap * 2.0**-12), 0))
 
     _, a, b = _graded_panels(0.0, math.pi, [], *np.array(ladders).reshape(-1, 4).T)
-    # width 0: each radial batch bounds its own memory, and its panel
-    # cap spans the whole batch, so the angular nodes are never split.
-    core = _adaptive(outer_integrand, a, b, rel_tol, max_panels, width=0)
+    core = _adaptive(outer_integrand, a, b, rel_tol, max_panels)
     return QuadratureResult(
         core.value, core.error_estimate, False, core.panels, counters["evals"]
     )
