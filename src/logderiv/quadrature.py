@@ -33,8 +33,9 @@ changes a bit of any result:
   slices only.  Retired panels still count toward the panel cap.
 - The integrands of lp_mean and of the radial slices evaluate their
   nodes in chunks whose (nodes, n) temporaries stay below a fixed
-  element count; smaller evaluations run in one shot.  lp_mean thus
-  runs in bounded memory (tested at n = 1024).
+  element count, once a whole evaluation passes a size gate; smaller
+  evaluations run in one shot.  lp_mean thus runs in bounded memory
+  (tested at n = 1024).
 """
 
 from __future__ import annotations
@@ -75,9 +76,14 @@ GRADE_MIN_WIDTH = 1e-13
 _TAIL_WINDOW = 1e-8
 
 # Memory bounds of the panel layer.  An evaluation whose (panels, 15, n)
-# temporaries would exceed _CHUNK_ELEMENTS runs in chunks of at most
-# that many elements.  Ladders are built for at most _LADDER_ELEMENTS
-# (row, ladder) pairs at a time.
+# temporaries would exceed _CHUNK_GATE elements runs in chunks of at most
+# _CHUNK_ELEMENTS; smaller ones stay single-shot.  One constant for both
+# is slower: chunks of 2^17 inside evaluations under 2^20 elements take
+# five times the page faults and 20-40% more time on n = 19 lp_means,
+# and chunks of 2^20 double the time of lp_mean at n = 64 and 256.
+# Ladders are built for at most _LADDER_ELEMENTS (row, ladder) pairs at
+# a time.
+_CHUNK_GATE = 1 << 20
 _CHUNK_ELEMENTS = 1 << 17
 _LADDER_ELEMENTS = 1 << 16
 
@@ -177,16 +183,17 @@ def _graded_rows(lo, hi, inner, c, w, mw, s, first_row):
 
 
 def _in_chunks(fn, width: int, *cols: np.ndarray):
-    """fn over panel columns, in chunks of at most _CHUNK_ELEMENTS.
+    """fn over panel columns, in chunks when the evaluation is large.
 
     width is the number of values fn builds per node, so one call holds
-    (panels, 15, width) temporaries.  fn returns a tuple of columns.
-    Every panel's value depends on that panel alone, so chunking changes
-    no bit of the result.
+    (panels, 15, width) temporaries.  fn returns a tuple of columns.  Up
+    to _CHUNK_GATE elements the call is single-shot; above it, chunks of
+    at most _CHUNK_ELEMENTS.  Every panel's value depends on that panel
+    alone, so chunking changes no bit of the result.
     """
     per = 15 * width
     total = len(cols[0])
-    if total * per <= _CHUNK_ELEMENTS:
+    if total * per <= _CHUNK_GATE:
         return fn(*cols)
     step = max(1, _CHUNK_ELEMENTS // per)
     parts = [fn(*(x[i : i + step] for x in cols)) for i in range(0, total, step)]
