@@ -47,7 +47,6 @@ from .explorer import (
     canonical_angles,
     equally_spaced,
     optimize,
-    sharpness_csv,
     sharpness_table,
     study_csv,
 )
@@ -67,17 +66,13 @@ from .levelset import (
     endpoint_window,
     level_set,
     level_set_for,
-    measure,
     window_concentration,
 )
 from .poles import (
     PoleSet,
-    eval_level,
     eval_level_array,
     eval_logderiv,
     poisson_kernel,
-    poles_digest,
-    to_rational,
 )
 from .polynorm import (
     DiskPolynomial,
@@ -99,91 +94,5 @@ from .quadrature import (
     check_lp_lower_bound,
     lp_mean,
 )
-from .rootiso import isolate_roots
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AREA",
-    "AREA_EQUISPACED_REFERENCE",
-    "AREA_LOWER_BOUND",
-    "BudgetExhausted",
-    "Certificate",
-    "DiskPolynomial",
-    "DomainError",
-    "ENDPOINT",
-    "IntervalUnion",
-    "KernelParams",
-    "LevelQuery",
-    "MEAN",
-    "MeanBoundReport",
-    "MeanSpec",
-    "Objective",
-    "PoleHit",
-    "PolePartition",
-    "PoleSet",
-    "PreconditionViolation",
-    "QuadratureResult",
-    "RootIsolationFailure",
-    "SIDE_MINUS",
-    "SIDE_PLUS",
-    "StudyRecord",
-    "ToleranceNotMet",
-    "VerificationReport",
-    "WEIGHTED_MEAN",
-    "ZeroAtEndpoint",
-    "ZeroCounts",
-    "angles_sidecar",
-    "area_integral",
-    "as_pole_set",
-    "build_certificate",
-    "canonical_angles",
-    "certificate_sweep",
-    "cheb_norm",
-    "check_imbalance_bound",
-    "check_lp_lower_bound",
-    "check_quarter_bound",
-    "check_two_sided_positivity",
-    "classify_poles",
-    "common_segment",
-    "endpoint_ratio",
-    "endpoint_window",
-    "endpoint_window_width",
-    "equally_spaced",
-    "eval_level",
-    "eval_level_array",
-    "eval_logderiv",
-    "eval_sharp",
-    "from_pairs",
-    "guarantee_segment",
-    "intersect",
-    "isolate_roots",
-    "kernel_lower_holds",
-    "kernel_small_windows",
-    "level_measure_constant",
-    "level_set",
-    "level_set_for",
-    "lp_mean",
-    "matched_delta",
-    "mean_lower_constant",
-    "measure",
-    "optimize",
-    "poisson_kernel",
-    "poisson_threshold",
-    "poles_digest",
-    "random_disk_polynomial",
-    "sharp_level",
-    "sharp_level_constant",
-    "sharp_level_cutoff",
-    "sharp_level_set",
-    "sharp_lp_mean",
-    "sharp_mean_constant",
-    "sharp_poles",
-    "sharpness_csv",
-    "sharpness_table",
-    "study_csv",
-    "to_rational",
-    "verify_certificate",
-    "window_concentration",
-    "zero_counts",
-]

@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import level_measure_constant
 from .certify import build_certificate, verify_certificate
 from .errors import (
     BudgetExhausted,
@@ -84,16 +83,14 @@ def cmd_verify(args) -> int:
     rel_tol = args.tol if args.tol else 1e-8
     report = check_lp_lower_bound(poles, args.p, rel_tol=rel_tol)
     conc = window_concentration(poles, args.delta)
-    floor = level_measure_constant(args.delta) / poles.n
-    concentration_ok = conc["intersection"].measure > floor * (1.0 - 1e-12) - 1e-15
-    ok = report.ok and concentration_ok
+    ok = report.ok and conc["ok"]
     if args.format == "csv":
         lines = [
             "kind," + "poles,n,p,weighted,value,error,divergent,panels",
             "mean," + mean_csv_row(poles, MeanSpec(p=args.p, weighted=False, rel_tol=rel_tol), report.unweighted),
             "mean," + mean_csv_row(poles, MeanSpec(p=args.p, weighted=True, rel_tol=rel_tol), report.weighted),
             f"level,{poles_digest(poles)},{poles.n},{args.delta},,"
-            f"{conc['intersection'].measure!r},{floor!r},,{int(concentration_ok)}",
+            f"{conc['intersection'].measure!r},{conc['lower_bound']!r},,{int(conc['ok'])}",
         ]
         _emit("\n".join(lines) + "\n", args.out)
     else:
@@ -112,8 +109,8 @@ def cmd_verify(args) -> int:
                 "level_set": _interval_dict(conc["level_set"]),
                 "window": _interval_dict(conc["window"]),
                 "intersection": _interval_dict(conc["intersection"]),
-                "floor": floor,
-                "ok": concentration_ok,
+                "floor": conc["lower_bound"],
+                "ok": conc["ok"],
             },
             "ok": ok,
         }
@@ -144,37 +141,30 @@ def cmd_witness(args) -> int:
 
 def cmd_measure(args) -> int:
     poles = PoleSet.from_json(_read_file(args.poles))
+    # The window and its floor K(delta)/n exist only for delta < 1/2.
     if args.delta < 0.5:
         conc = window_concentration(poles, args.delta)
-        floor = level_measure_constant(args.delta) / poles.n
-        ok = conc["intersection"].measure > floor * (1.0 - 1e-12) - 1e-15
-        doc = {
-            "delta": args.delta,
-            "n": poles.n,
-            "level_set": _interval_dict(conc["level_set"]),
-            "window": _interval_dict(conc["window"]),
-            "intersection": _interval_dict(conc["intersection"]),
-            "floor": floor,
-            "ok": ok,
-        }
+        level = conc["level_set"]
+        window = _interval_dict(conc["window"])
+        both = _interval_dict(conc["intersection"])
+        floor, ok = conc["lower_bound"], conc["ok"]
     else:
-        u = level_set_for(poles, args.delta)
-        doc = {
-            "delta": args.delta,
-            "n": poles.n,
-            "level_set": _interval_dict(u),
-            "window": None,
-            "intersection": None,
-            "floor": None,
-            "ok": True,
-        }
+        level = level_set_for(poles, args.delta)
+        window = both = floor = None
         ok = True
+    doc = {
+        "delta": args.delta,
+        "n": poles.n,
+        "level_set": _interval_dict(level),
+        "window": window,
+        "intersection": both,
+        "floor": floor,
+        "ok": ok,
+    }
     if args.format == "csv":
         lines = ["delta,n,measure,floor,ok"]
-        floor_txt = repr(doc["floor"]) if doc["floor"] is not None else ""
-        lines.append(
-            f"{args.delta},{poles.n},{doc['level_set']['measure']!r},{floor_txt},{int(ok)}"
-        )
+        floor_txt = repr(floor) if floor is not None else ""
+        lines.append(f"{args.delta},{poles.n},{level.measure!r},{floor_txt},{int(ok)}")
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
@@ -295,50 +285,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, poles=False, delta=None, p=None):
+    # Each command registers only the flags its handler reads.
+    def common(sp, poles=False, delta=None, p=None, fmt=True):
         if poles:
             sp.add_argument("--poles", required=True, help="pole-set JSON file")
         if delta is not None:
             sp.add_argument("--delta", type=float, default=delta)
         if p is not None:
             sp.add_argument("--p", type=float, default=p)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        if fmt:
+            sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = sub.add_parser("verify", help="p-mean floors and level concentration")
     common(sp, poles=True, delta=0.25, p=1.0)
+    sp.add_argument("--tol", type=float, default=None)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("witness", help="build and audit a witness certificate")
-    common(sp, poles=True, delta=0.25)
+    common(sp, poles=True, delta=0.25, fmt=False)
     sp.add_argument("--m", type=int, default=3)
     sp.add_argument("--samples", type=int, default=1000)
     sp.set_defaults(fn=cmd_witness)
 
-    sp = sub.add_parser("measure", help="exact level set and endpoint window")
+    sp = sub.add_parser("measure", help="level set (float root isolation) and endpoint window")
     common(sp, poles=True, delta=0.25)
     sp.set_defaults(fn=cmd_measure)
 
     sp = sub.add_parser("sharpness", help="bracketing table for the p-means")
-    common(sp, delta=None, p=1.0)
+    common(sp, p=1.0)
     sp.add_argument("--n", type=int, default=8, help="largest n in the table")
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_sharpness)
 
     sp = sub.add_parser("norms", help="derivative-norm floors for disk polynomials")
     common(sp, delta=0.4)
     sp.add_argument("--poles", default=None, help="polynomial JSON file")
     sp.add_argument("--n", type=int, default=50, help="corpus size when no file given")
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_norms)
 
     sp = sub.add_parser("explore", help="search pole configurations")
-    common(sp, delta=None, p=None)
+    common(sp)
     sp.add_argument("--n", type=int, required=True, help="number of poles")
     sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--objective", choices=("area", "mean", "weighted-mean"), default="area")
     sp.add_argument("--seeds", type=int, default=8)
     sp.add_argument("--budget", type=int, default=2000)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--timing", action="store_true")
     sp.set_defaults(fn=cmd_explore)
 

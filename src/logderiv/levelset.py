@@ -1,4 +1,4 @@
-"""Exact level sets of the level function F on [-1, 1].
+"""Level sets of the level function F on [-1, 1], by float root isolation.
 
 For a threshold tau = delta*n, the set {x : |F(x)| >= tau} is a finite
 union of closed intervals whose endpoints are roots of
@@ -10,6 +10,10 @@ isolated, the open gaps between consecutive breakpoints are classified
 by the sign of N^2 - tau^2 D^2 at their midpoints, and member gaps are
 merged.  Real poles of F make |F| blow up at the matching endpoint, so
 the adjacent gap classifies as a member automatically.
+
+The expanded coefficients are floats, so the result is not exact: under
+coefficient noise a root can be lost or misplaced, and whole intervals
+can be wrongly kept or dropped.  Such errors grow more common with n.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from typing import List
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .bounds import endpoint_window_width
+from .bounds import endpoint_window_width, level_measure_constant
 from .errors import DomainError
-from .intervals import IntervalUnion, intersect  # noqa: F401  (re-exported)
+from .intervals import IntervalUnion, intersect
 from .poles import PoleSet, to_rational
 from .rootiso import isolate_roots
 
@@ -42,10 +46,6 @@ class LevelQuery:
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
         object.__setattr__(self, "threshold", self.delta * self.n)
-
-
-def measure(u: IntervalUnion) -> float:
-    return u.measure
 
 
 def endpoint_window(n: int, delta: float) -> IntervalUnion:
@@ -119,17 +119,18 @@ def level_set_for(poles: PoleSet, delta: float) -> IntervalUnion:
 def window_concentration(poles: PoleSet, delta: float) -> dict:
     """Measure of the level set and of its endpoint-window part.
 
-    Returns a dict with the full set, the window, their intersection
-    and the guaranteed lower bound for comparison.
+    Returns a dict with the full set, the window, their intersection,
+    the guaranteed lower bound K(delta)/n on the intersection's measure,
+    and "ok", whether the measure clears that bound up to rounding.
     """
-    from .bounds import level_measure_constant
-
     e = level_set_for(poles, delta)
     w = endpoint_window(poles.n, delta)
     both = intersect(e, w)
+    floor = level_measure_constant(delta) / poles.n
     return {
         "level_set": e,
         "window": w,
         "intersection": both,
-        "lower_bound": level_measure_constant(delta) / poles.n,
+        "lower_bound": floor,
+        "ok": both.measure > floor * (1.0 - 1e-12) - 1e-15,
     }

@@ -25,7 +25,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -33,9 +33,6 @@ from numpy.polynomial import polynomial as npoly
 from .errors import DomainError, PoleHit
 
 TWO_PI = 2.0 * math.pi
-
-# Compensated summation kicks in above this many poles.
-_FSUM_THRESHOLD = 64
 
 # Angles read from files are snapped to the real axis within this tolerance.
 SNAP_TOL = 1e-14
@@ -85,17 +82,14 @@ class PoleSet:
         """Indices of poles lying exactly at +1 (angle 0) or -1 (angle pi)."""
         return tuple(k for k, t in enumerate(self.angles) if t == 0.0 or t == math.pi)
 
-    def conjugate(self) -> "PoleSet":
-        return PoleSet(tuple(-t for t in self.angles))
-
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "angles": list(self.angles)}, sort_keys=True)
 
     @staticmethod
-    def from_json(text: str, snap_tol: float = SNAP_TOL) -> "PoleSet":
+    def from_json(text: str) -> "PoleSet":
         """Parse {"n": ..., "angles": [...]}, snapping near-real angles.
 
-        Angles within snap_tol of 0, pi or 2*pi are snapped onto the real
+        Angles within SNAP_TOL of 0, pi or 2*pi are snapped onto the real
         axis so that files produced with limited precision still classify
         real poles deterministically.
         """
@@ -110,9 +104,9 @@ class PoleSet:
         snapped = []
         for t in raw:
             u = _normalize_angle(t)
-            if min(u, TWO_PI - u) <= snap_tol:
+            if min(u, TWO_PI - u) <= SNAP_TOL:
                 u = 0.0
-            elif abs(u - math.pi) <= snap_tol:
+            elif abs(u - math.pi) <= SNAP_TOL:
                 u = math.pi
             snapped.append(u)
         return PoleSet(tuple(snapped))
@@ -141,42 +135,17 @@ def poisson_kernel(v_angle: float, x: float) -> float:
     return (1.0 - x * x) / den
 
 
-def _level_terms(angles: Sequence[float], x: float) -> Iterable[float]:
-    for t in angles:
-        if t == 0.0:
-            yield x / (x - 1.0)
-        elif t == math.pi:
-            yield x / (x + 1.0)
-        else:
-            a = math.cos(t)
-            yield (x * x - a * x) / (x * x - 2.0 * a * x + 1.0)
-
-
-def eval_level(poles: PoleSet, x: float) -> float:
-    """F(x) = Re(x * g(x)) on [-1, 1] via the per-pole rational terms.
-
-    Summation is in index order, switching to compensated accumulation
-    above 64 poles.  Raises PoleHit at a real pole's own endpoint.
-    """
-    if not -1.0 <= x <= 1.0:
-        raise DomainError(f"x={x} outside [-1, 1]")
-    if x == 1.0 and any(t == 0.0 for t in poles.angles):
-        raise PoleHit("x=1 is a pole of the configuration")
-    if x == -1.0 and any(t == math.pi for t in poles.angles):
-        raise PoleHit("x=-1 is a pole of the configuration")
-    terms = _level_terms(poles.angles, x)
-    if poles.n > _FSUM_THRESHOLD:
-        return math.fsum(terms)
-    return sum(terms)
-
-
 def eval_level_array(poles: PoleSet, xs: np.ndarray) -> np.ndarray:
-    """Vectorized F over an array of abscissae.
+    """F(x) = Re(x * g(x)) over an array of abscissae in [-1, 1].
 
-    Real-pole endpoints produce +-inf instead of raising, which is the
-    convenient convention for membership sampling.
+    Sums the per-pole rational terms in index order.  Raises DomainError
+    unless every x satisfies |x| <= 1 (NaN fails too).  A real pole's own
+    endpoint produces +-inf instead of raising, which is the convenient
+    convention for membership sampling.
     """
     x = np.asarray(xs, dtype=float)
+    if not np.all(np.abs(x) <= 1.0):
+        raise DomainError("abscissae must lie in [-1, 1]")
     a = np.cos(np.asarray(poles.angles))
     real_plus = np.asarray([t == 0.0 for t in poles.angles])
     real_minus = np.asarray([t == math.pi for t in poles.angles])
@@ -204,11 +173,6 @@ class RationalLevelFunction:
     denominator: Tuple[float, ...]
     n: int
     real_pole_flags: Tuple[int, ...]
-
-    def eval(self, x: float) -> float:
-        num = npoly.polyval(x, np.asarray(self.numerator))
-        den = npoly.polyval(x, np.asarray(self.denominator))
-        return num / den
 
 
 def _grouped_cosines(angles: Sequence[float]) -> list:

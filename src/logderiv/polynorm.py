@@ -23,6 +23,9 @@ from .poles import PoleSet
 _DISK_TOL = 1e-14
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Uniform sampling cells on each half of [-1, 1] in the positivity check.
+_POSITIVITY_SAMPLES = 4096
+
 
 @dataclass(frozen=True)
 class DiskPolynomial:
@@ -181,9 +184,7 @@ class TwoSidedReport:
     ok: bool
 
 
-def check_two_sided_positivity(
-    poly: DiskPolynomial, delta: float, samples_per_half: int = 4096
-) -> TwoSidedReport:
+def check_two_sided_positivity(poly: DiskPolynomial, delta: float) -> TwoSidedReport:
     """Estimate the measure of {x : |p'(x)| >= delta n |p(x)|} on each of
     [-1,0] and [0,1] by dense sampling with bisection refinement at sign
     changes; the claim being checked is that both measures are positive.
@@ -208,10 +209,10 @@ def check_two_sided_positivity(
 
     halves = []
     for lo, hi in ((-1.0, 0.0), (0.0, 1.0)):
-        xs = np.linspace(lo, hi, samples_per_half + 1)
+        xs = np.linspace(lo, hi, _POSITIVITY_SAMPLES + 1)
         good = gain(xs) >= 0.0
         total = 0.0
-        for i in range(samples_per_half):
+        for i in range(_POSITIVITY_SAMPLES):
             a, b = float(xs[i]), float(xs[i + 1])
             if good[i] and good[i + 1]:
                 total += b - a

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +86,9 @@ _TAIL_WINDOW = 1e-8
 _CHUNK_GATE = 1 << 20
 _CHUNK_ELEMENTS = 1 << 17
 _LADDER_ELEMENTS = 1 << 16
+
+# Angular panel budget of area_integral.
+_AREA_MAX_PANELS = 4000
 
 
 @dataclass(frozen=True)
@@ -446,31 +449,27 @@ def _radial_batch(
     )
 
 
-def area_integral(
-    poles: PoleSet,
-    rel_tol: float = 1e-6,
-    max_panels: int = 4000,
-    inner_rel_tol: Optional[float] = None,
-) -> QuadratureResult:
+def area_integral(poles: PoleSet, rel_tol: float = 1e-6) -> QuadratureResult:
     """integral of |g| over the unit disk, always finite.
 
     Written as the integral over t in [0, pi] of the weighted radial
     mean W(t); W has logarithmic spikes exactly at the pole angles
-    (mod pi), which are placed as panel endpoints.
+    (mod pi), which are placed as panel endpoints.  Each radial slice
+    is integrated to rel_tol / 5.
     """
     thetas = np.asarray(poles.angles)
-    itol = inner_rel_tol if inner_rel_tol is not None else rel_tol / 5.0
+    itol = rel_tol / 5.0
 
     sing = sorted({math.fmod(t, math.pi) for t in thetas})
     if any(s == 0.0 for s in sing):
         sing.append(math.pi)
 
-    counters = {"evals": 0, "inner_panels": 0}
+    evals_total = 0
 
     def outer_integrand(tmat: np.ndarray) -> np.ndarray:
-        vals, _, panels, evals = _radial_batch(thetas, tmat.ravel(), itol)
-        counters["evals"] += evals
-        counters["inner_panels"] += panels
+        nonlocal evals_total
+        vals, _, _, evals = _radial_batch(thetas, tmat.ravel(), itol)
+        evals_total += evals
         return vals.reshape(tmat.shape)
 
     ladders = []
@@ -484,10 +483,8 @@ def area_integral(
         ladders.append((s, 0.5 * gap, max(1e-6, gap * 2.0**-12), 0))
 
     _, a, b = _graded_panels(0.0, math.pi, [], *np.array(ladders).reshape(-1, 4).T)
-    core = _adaptive(outer_integrand, a, b, rel_tol, max_panels)
-    return QuadratureResult(
-        core.value, core.error_estimate, False, core.panels, counters["evals"]
-    )
+    core = _adaptive(outer_integrand, a, b, rel_tol, _AREA_MAX_PANELS)
+    return QuadratureResult(core.value, core.error_estimate, False, core.panels, evals_total)
 
 
 # ---------------------------------------------------------------------------
@@ -510,21 +507,19 @@ class MeanBoundReport:
         return self.ok_unweighted_ge_weighted and self.ok_weighted_ge_bound
 
 
-def check_lp_lower_bound(
-    poles: PoleSet, p: float, rel_tol: float = 1e-8, max_panels: int = 200_000
-) -> MeanBoundReport:
+def check_lp_lower_bound(poles: PoleSet, p: float, rel_tol: float = 1e-8) -> MeanBoundReport:
     """Evaluate unweighted >= weighted >= constant * n^(p-1).
 
     Divergent integrals count as satisfying their side of the chain.
     Comparisons carry a slack of 10 * rel_tol * bound.
     """
-    u = lp_mean(poles, MeanSpec(p=p, weighted=False, rel_tol=rel_tol, max_panels=max_panels))
-    w = lp_mean(poles, MeanSpec(p=p, weighted=True, rel_tol=rel_tol, max_panels=max_panels))
+    u = lp_mean(poles, MeanSpec(p=p, weighted=False, rel_tol=rel_tol))
+    w = lp_mean(poles, MeanSpec(p=p, weighted=True, rel_tol=rel_tol))
     bound = mean_lower_constant(p) * poles.n ** (p - 1.0)
     slack = 10.0 * rel_tol
-    ok_uw = u.divergent or (w.divergent is False and u.value >= w.value * (1.0 - slack))
-    if u.divergent and w.divergent:
-        ok_uw = True
+    # lp_mean decides divergence from the poles and p alone, so u and w
+    # diverge together.
+    ok_uw = u.divergent or u.value >= w.value * (1.0 - slack)
     ok_wb = w.divergent or w.value > bound * (1.0 - slack)
     return MeanBoundReport(
         p=p,

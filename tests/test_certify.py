@@ -20,7 +20,7 @@ from logderiv import (
     certificate_sweep,
     classify_poles,
     common_segment,
-    eval_level,
+    eval_level_array,
     from_pairs,
     guarantee_segment,
     kernel_lower_holds,
@@ -244,7 +244,7 @@ def test_certificate_heavy_side_example():
     assert lo == pytest.approx(SEG_RHO_TWELFTH[0], rel=1e-13)
     assert hi == pytest.approx(SEG_RHO_TWELFTH[1], rel=1e-15)
     assert cert.guarantee == 0.5
-    assert abs(eval_level(ps, 0.9)) == pytest.approx(18.0, rel=1e-13)
+    assert abs(eval_level_array(ps, 0.9)) == pytest.approx(18.0, rel=1e-13)
     assert cert.guaranteed_measure > 5.0 * cert.rho / 4.0
     assert verify_certificate(ps, cert).ok
 
@@ -270,7 +270,7 @@ def test_certificate_endpoint_band_example():
     assert c == pytest.approx(CASE2_CUT_N4_D02_M1, rel=1e-14)
     assert cert.guarantee == pytest.approx(0.8, rel=1e-15)
     x = 0.9982
-    assert eval_level(ps, x) == pytest.approx(4.0 * x * x / (x * x + 1.0), rel=1e-13)
+    assert eval_level_array(ps, x) == pytest.approx(4.0 * x * x / (x * x + 1.0), rel=1e-13)
     assert verify_certificate(ps, cert).ok
 
 

@@ -8,10 +8,14 @@ integral, n/800 lower rows).
 
 import json
 import math
+import re
 import subprocess
 import sys
 
+import pytest
+
 from logderiv import DiskPolynomial, PoleSet, equally_spaced
+from logderiv.cli import main
 
 
 def run_cli(*args):
@@ -189,3 +193,63 @@ def test_explore_budget_failure_exits_3(tmp_path):
     )
     assert proc.returncode == 3
     assert "numerical failure" in proc.stderr
+
+
+# Flags that some commands accepted once without reading them.
+UNREAD_FLAGS = [
+    ("verify", "--seed", "9"),
+    ("witness", "--seed", "9"),
+    ("measure", "--seed", "9"),
+    ("witness", "--tol", "1e-3"),
+    ("measure", "--tol", "1e-3"),
+    ("norms", "--tol", "1e-3"),
+    ("sharpness", "--tol", "1e-3"),
+    ("witness", "--format", "csv"),
+]
+
+
+def _required_args(command, tmp_path):
+    if command in ("verify", "witness", "measure"):
+        return ["--poles", write_poles(tmp_path / "p.json", [math.pi / 2])]
+    if command == "explore":
+        return ["--n", "1"]
+    return []
+
+
+@pytest.mark.parametrize("command,flag,value", UNREAD_FLAGS)
+def test_unread_flag_is_rejected(command, flag, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_required_args(command, tmp_path), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# Every flag each command registers besides its required ones, with a
+# cheap value.
+REGISTERED_FLAGS = {
+    "verify": ["--delta", "0.25", "--p", "1.0", "--tol", "1e-6", "--format", "csv"],
+    "witness": ["--delta", "0.25", "--m", "2", "--samples", "200"],
+    "measure": ["--delta", "0.2", "--format", "csv"],
+    "sharpness": ["--p", "1.0", "--n", "2", "--seed", "3", "--format", "csv"],
+    "norms": ["--delta", "0.4", "--n", "2", "--seed", "3", "--format", "csv"],
+    "explore": [
+        "--p", "1.0", "--objective", "mean", "--seeds", "1",
+        "--budget", "100", "--seed", "3", "--tol", "1e-4", "--timing", "--format", "csv",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REGISTERED_FLAGS))
+def test_registered_flags_are_accepted(command, tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    registered = set(re.findall(r"(?<![\w-])--[a-z]+", capsys.readouterr().out)) - {"--help"}
+    argv = [*_required_args(command, tmp_path), *REGISTERED_FLAGS[command]]
+    argv += ["--out", str(tmp_path / "out")]
+    if command == "norms":
+        poly = tmp_path / "poly.json"
+        poly.write_text(DiskPolynomial((0.5 + 0.1j, -0.3j)).to_json())
+        argv += ["--poles", str(poly)]
+    assert {a for a in argv if a.startswith("--")} == registered
+    assert main([command, *argv]) == 0
+    assert (tmp_path / "out").stat().st_size > 0

@@ -9,7 +9,7 @@ from logderiv import (
     DomainError,
     MeanSpec,
     PoleSet,
-    eval_level,
+    eval_level_array,
     eval_logderiv,
     level_set_for,
     level_measure_constant,
@@ -69,7 +69,7 @@ def test_sharp_level_matches_generic_level():
         ps = sharp_poles(n)
         for x in rng.uniform(-0.99, 0.99, 20):
             assert sharp_level(n, float(x)) == pytest.approx(
-                eval_level(ps, float(x)), rel=1e-11, abs=1e-12
+                eval_level_array(ps, float(x)), rel=1e-11, abs=1e-12
             )
 
 

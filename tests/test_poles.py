@@ -2,14 +2,16 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from logderiv import (
+    DomainError,
     PoleHit,
     PoleSet,
-    eval_level,
     eval_level_array,
     eval_logderiv,
     poisson_kernel,
@@ -83,7 +85,7 @@ def test_rotation_covariance_of_magnitude():
 
 def test_eval_level_single_pole_at_i():
     ps = PoleSet((math.pi / 2.0,))
-    assert eval_level(ps, 0.5) == pytest.approx(0.2, abs=1e-15)
+    assert eval_level_array(ps, 0.5) == pytest.approx(0.2, abs=1e-15)
 
 
 def test_eval_level_zero_at_origin():
@@ -91,18 +93,34 @@ def test_eval_level_zero_at_origin():
     for _ in range(10):
         n = int(rng.integers(1, 9))
         ps = PoleSet(tuple(rng.uniform(0.0, TWO_PI, n)))
-        assert eval_level(ps, 0.0) == 0.0
+        assert eval_level_array(ps, 0.0) == 0.0
 
 
 def test_eval_level_single_pole_at_one():
     ps = PoleSet((0.0,))
-    assert eval_level(ps, 0.5) == pytest.approx(-1.0, abs=1e-15)
+    assert eval_level_array(ps, 0.5) == pytest.approx(-1.0, abs=1e-15)
 
 
-def test_eval_level_pole_hit_at_real_pole():
-    ps = PoleSet((math.pi,))
-    with pytest.raises(PoleHit):
-        eval_level(ps, -1.0)
+def test_eval_level_array_real_pole_endpoints_are_infinite():
+    # a real pole's own endpoint gives +-inf; the opposite endpoint is finite
+    assert eval_level_array(PoleSet((0.0,)), 1.0) == math.inf
+    assert eval_level_array(PoleSet((math.pi,)), -1.0) == -math.inf
+    assert eval_level_array(PoleSet((math.pi,)), 1.0) == 0.5
+    vals = eval_level_array(PoleSet((0.0, math.pi, 1.0)), np.array([-1.0, 0.0, 1.0]))
+    assert vals[0] == -math.inf
+    assert vals[1] == 0.0
+    assert vals[2] == math.inf
+
+
+def test_eval_level_array_rejects_points_outside_segment():
+    ps = PoleSet((0.5, 2.0))
+    for bad in (1.0 + 2.0**-52, -1.5, math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            eval_level_array(ps, bad)
+    with pytest.raises(DomainError):
+        eval_level_array(ps, np.array([0.0, 0.5, 1.0000001]))
+    with pytest.raises(DomainError):
+        eval_level_array(ps, np.array([[0.0, math.nan]]))
 
 
 def test_poisson_kernel_examples():
@@ -111,7 +129,7 @@ def test_poisson_kernel_examples():
     assert poisson_kernel(0.0, 0.5) == pytest.approx(3.0, abs=1e-15)
     # both sides of the half-difference identity for the single pole at 1
     assert 0.5 * abs(poisson_kernel(0.0, 0.5) - 1.0) == pytest.approx(
-        abs(eval_level(PoleSet((0.0,)), 0.5)), abs=1e-15
+        abs(eval_level_array(PoleSet((0.0,)), 0.5)), abs=1e-15
     )
 
 
@@ -137,7 +155,7 @@ def test_level_equals_half_kernel_deficit():
         n = int(rng.integers(1, 17))
         ps = PoleSet(tuple(rng.uniform(0.0, TWO_PI, n)))
         x = float(rng.uniform(-0.99, 0.99))
-        direct = eval_level(ps, x)
+        direct = eval_level_array(ps, x)
         kernels = math.fsum(poisson_kernel(t, x) for t in ps.angles)
         assert abs(direct - 0.5 * (n - kernels)) <= 1e-9 * n
 
@@ -149,18 +167,45 @@ def test_level_depends_only_on_real_parts():
         base = rng.uniform(0.0, TWO_PI, n)
         flipped = (TWO_PI - base) % TWO_PI
         x = float(rng.uniform(-0.99, 0.99))
-        a = eval_level(PoleSet(tuple(base)), x)
-        b = eval_level(PoleSet(tuple(flipped)), x)
+        a = eval_level_array(PoleSet(tuple(base)), x)
+        b = eval_level_array(PoleSet(tuple(flipped)), x)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
-def test_eval_level_array_matches_scalar():
+def _exact_level(ps: PoleSet, x: float) -> Fraction:
+    """sum_k (x^2 - a x)/(x^2 - 2 a x + 1) in exact rationals, at the
+    float cosines a the evaluator itself uses."""
+    xq = Fraction(x)
+    total = Fraction(0)
+    for a in np.cos(np.asarray(ps.angles)).tolist():
+        aq = Fraction(a)
+        total += (xq * xq - aq * xq) / (xq * xq - 2 * aq * xq + 1)
+    return total
+
+
+def test_eval_level_array_matches_exact_fractions():
     rng = np.random.default_rng(23)
-    ps = PoleSet(tuple(rng.uniform(0.0, TWO_PI, 6)))
-    xs = rng.uniform(-0.99, 0.99, 64)
-    arr = eval_level_array(ps, xs)
-    for x, v in zip(xs, arr):
-        assert v == pytest.approx(eval_level(ps, float(x)), rel=1e-13, abs=1e-13)
+    for case in range(320):
+        n = int(rng.integers(1, 257))
+        angles = rng.uniform(0.0, TWO_PI, n)
+        if case % 10 == 0:
+            angles[0] = 0.0 if case % 20 == 0 else math.pi
+        ps = PoleSet(tuple(angles))
+        xs = [0.0, *rng.uniform(-1.0, 1.0, 3).tolist()]
+        if math.pi not in ps.angles:
+            xs.append(-1.0)
+        if 0.0 not in ps.angles:
+            xs.append(1.0)
+        got = eval_level_array(ps, np.array(xs))
+        for x, v in zip(xs, got.tolist()):
+            exact = _exact_level(ps, x)
+            assert abs(Fraction(v) - exact) <= 1e-10 * max(abs(exact), 1), (case, n, x)
+
+
+def _rational_eval(rf, x: float) -> float:
+    return npoly.polyval(x, np.asarray(rf.numerator)) / npoly.polyval(
+        x, np.asarray(rf.denominator)
+    )
 
 
 def test_rational_form_single_pole_at_i():
@@ -191,7 +236,7 @@ def test_rational_form_matches_direct_evaluation():
         rf = to_rational(ps)
         xs = rng.uniform(-0.99, 0.99, 64)
         direct = eval_level_array(ps, xs)
-        viarat = np.array([rf.eval(float(x)) for x in xs])
+        viarat = np.array([_rational_eval(rf, float(x)) for x in xs])
         assert np.max(np.abs(direct - viarat) / (1.0 + np.abs(direct))) < 1e-9
 
 
@@ -205,7 +250,7 @@ def test_rational_form_conditioning_at_scale():
         rf = to_rational(ps)
         xs = rng.uniform(-0.999, 0.999, 20)
         direct = eval_level_array(ps, xs)
-        viarat = np.array([rf.eval(float(x)) for x in xs])
+        viarat = np.array([_rational_eval(rf, float(x)) for x in xs])
         assert np.max(np.abs(direct - viarat) / (1.0 + np.abs(direct))) < 1e-4
 
 
