@@ -138,10 +138,10 @@ def poisson_kernel(v_angle: float, x: float) -> float:
 def eval_level_array(poles: PoleSet, xs: np.ndarray) -> np.ndarray:
     """F(x) = Re(x * g(x)) over an array of abscissae in [-1, 1].
 
-    Sums the per-pole rational terms in index order.  Raises DomainError
-    unless every x satisfies |x| <= 1 (NaN fails too).  A real pole's own
-    endpoint produces +-inf instead of raising, which is the convenient
-    convention for membership sampling.
+    Sums the per-pole rational terms.  Raises DomainError unless every x
+    satisfies |x| <= 1 (NaN fails too).  A real pole's own endpoint
+    produces +-inf instead of raising, which is the convenient convention
+    for membership sampling.
     """
     x = np.asarray(xs, dtype=float)
     if not np.all(np.abs(x) <= 1.0):
