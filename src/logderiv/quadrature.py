@@ -31,15 +31,19 @@ changes a bit of any result:
 - A radial slice that meets its tolerance is retired: its sums are
   stored and its panels dropped, so later rounds work on pending
   slices only.  Retired panels still count toward the panel cap.
-- The integrands of lp_mean and of the radial slices evaluate their
-  nodes in chunks whose (nodes, n) temporaries stay below a fixed
-  element count, once a whole evaluation passes a size gate; smaller
-  evaluations run in one shot.  lp_mean thus runs in bounded memory
-  (tested at n = 1024).
+- The integrands of lp_mean and of the radial slices add their poles
+  one (panels, 15) slab at a time, in the pairwise order that
+  ndarray.sum(axis=-1) uses, so no (panels, 15, n) array is built and
+  the sums keep numpy's bits.  Each slab is a whole-array operation,
+  where numpy's reduction over the short pole axis made one inner-loop
+  call per node.
+- Those integrands evaluate their nodes in chunks of a fixed size, so
+  lp_mean runs in bounded memory (tested at n = 1024).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
@@ -75,15 +79,15 @@ _WG = np.array([
 GRADE_MIN_WIDTH = 1e-13
 _TAIL_WINDOW = 1e-8
 
-# Memory bounds of the panel layer.  An evaluation whose (panels, 15, n)
-# temporaries would exceed _CHUNK_GATE elements runs in chunks of at most
-# _CHUNK_ELEMENTS; smaller ones stay single-shot.  One constant for both
-# is slower: chunks of 2^17 inside evaluations under 2^20 elements take
-# five times the page faults and 20-40% more time on n = 19 lp_means,
-# and chunks of 2^20 double the time of lp_mean at n = 64 and 256.
-# Ladders are built for at most _LADDER_ELEMENTS (row, ladder) pairs at
-# a time.
-_CHUNK_GATE = 1 << 20
+# Memory bounds of the panel layer.  The integrands hold at most about
+# _LIVE_SLABS (panels, 15) slabs at once, whatever n is, and evaluate in
+# chunks of at most _CHUNK_ELEMENTS slab elements.  The size gate that
+# once kept small evaluations single-shot is gone: it spared the page
+# faults of (panels, 15, n) arrays, and with slabs one chunk size is as
+# fast on the lp_means of n <= 20, n = 64 and 256 and on the radial
+# kernel, with fewer page faults.  Ladders are built for at most
+# _LADDER_ELEMENTS (row, ladder) pairs at a time.
+_LIVE_SLABS = 8
 _CHUNK_ELEMENTS = 1 << 17
 _LADDER_ELEMENTS = 1 << 16
 
@@ -185,20 +189,71 @@ def _graded_rows(lo, hi, inner, c, w, mw, s, first_row):
     return r[1:][same], v[:-1][same], v[1:][same]
 
 
-def _in_chunks(fn, width: int, *cols: np.ndarray):
+def _pole_sum(term: Callable[[int], np.ndarray], c: int) -> np.ndarray:
+    """term(0) + ... + term(c-1), added in the order of ndarray.sum(axis=-1).
+
+    numpy sums the last axis of a complex array pairwise: in sequence
+    below 4 terms; up to 64 terms with four accumulators over blocks of
+    4, combined as (r0 + r1) + (r2 + r3), the leftover terms then added
+    in sequence; above 64 as two halves split at c//2 - (c//2) % 4.
+    Stacking the terms and summing gives the same bits, except that
+    numpy turns an all -0.0 sum into +0.0 and may pass on another NaN
+    operand (IEEE 754 leaves that choice open).  Each term is made only
+    when it is needed and must be a fresh array, since the first ones
+    become accumulators; at most 5 + log2(c / 64) slabs are live.
+    """
+    if c > 64:
+        half = c // 2 - (c // 2) % 4
+        s = _pole_sum(term, half)
+        s += _pole_sum(lambda k: term(half + k), c - half)
+        return s
+    if c < 4:
+        s = term(0)
+        for k in range(1, c):
+            s += term(k)
+        return s
+    r = [term(k) for k in range(4)]
+    top = c - c % 4
+    for k in range(4, top):
+        r[k % 4] += term(k)
+    s, r1, r2, r3 = r
+    s += r1
+    r2 += r3
+    s += r2
+    for k in range(top, c):
+        s += term(k)
+    return s
+
+
+def _abs_g(x: np.ndarray, z) -> np.ndarray:
+    """|sum_k 1 / (x - z[k])| at real nodes x, one pole slab at a time.
+
+    Each z[k] broadcasts against x.  The sum has the bits of
+    np.abs((1.0 / (x[..., None] - z)).sum(axis=-1)) with the poles on
+    the last axis.
+    """
+    xc = x.astype(complex)
+
+    def term(k: int) -> np.ndarray:
+        d = xc - z[k]
+        return np.divide(1.0, d, out=d)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.abs(_pole_sum(term, len(z)))
+
+
+def _in_chunks(fn, *cols: np.ndarray):
     """fn over panel columns, in chunks when the evaluation is large.
 
-    width is the number of values fn builds per node, so one call holds
-    (panels, 15, width) temporaries.  fn returns a tuple of columns.  Up
-    to _CHUNK_GATE elements the call is single-shot; above it, chunks of
-    at most _CHUNK_ELEMENTS.  Every panel's value depends on that panel
+    One call of fn holds up to _LIVE_SLABS (panels, 15) temporaries, and
+    a chunk holds at most _CHUNK_ELEMENTS of their elements.  fn returns
+    a tuple of columns.  Every panel's value depends on that panel
     alone, so chunking changes no bit of the result.
     """
-    per = 15 * width
+    step = max(1, _CHUNK_ELEMENTS // (15 * _LIVE_SLABS))
     total = len(cols[0])
-    if total * per <= _CHUNK_GATE:
+    if total <= step:
         return fn(*cols)
-    step = max(1, _CHUNK_ELEMENTS // per)
     parts = [fn(*(x[i : i + step] for x in cols)) for i in range(0, total, step)]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
@@ -283,6 +338,14 @@ def _real_pole_tail(
     return lead - corr, err
 
 
+def _mean_values(pts: np.ndarray, p: float, weighted: bool, x: np.ndarray) -> Tuple[np.ndarray]:
+    """The lp_mean integrand |g|^p, times |x|^p if weighted, at nodes x."""
+    g = _abs_g(x, pts) ** p
+    if weighted:
+        g = g * np.abs(x) ** p
+    return (g,)
+
+
 def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
     """integral over [-1,1] of |g|^p, optionally weighted by |x|^p."""
     angles = poles.angles
@@ -293,16 +356,10 @@ def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
         return QuadratureResult(math.inf, 0.0, True, 0, 0)
 
     p = spec.p
-
-    def values(x: np.ndarray) -> Tuple[np.ndarray]:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.abs((1.0 / (x[..., None] - pts)).sum(axis=-1)) ** p
-        if spec.weighted:
-            g = g * np.abs(x) ** p
-        return (g,)
+    values = functools.partial(_mean_values, pts, p, spec.weighted)
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        return _in_chunks(values, len(pts), x)[0]
+        return _in_chunks(values, x)[0]
 
     ladders: List[Tuple[float, float, float, int]] = []
     for t in angles:
@@ -358,6 +415,16 @@ def _radial_panels(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
+def _radial_kernel(u: np.ndarray, ti: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Kronrod value and error of |r| |g(r e^{it})| on panels (ti, a, b),
+    where row ti of u holds the slice's pole directions."""
+    h, x = _nodes(a, b)
+    # one contiguous (panels, 1) column of pole directions per pole
+    y = _abs_g(x, u.T.take(ti, axis=1)[:, :, None])
+    y *= np.abs(x)
+    return _kronrod(y, h)
+
+
 def _radial_batch(
     thetas: np.ndarray,
     ts: np.ndarray,
@@ -387,16 +454,9 @@ def _radial_batch(
 
     m = len(ts)
     u = np.exp(1j * (thetas[None, :] - ts[:, None]))  # (m, n)
-
-    def kernel(ti, a, b):
-        h, x = _nodes(a, b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = np.abs((1.0 / (x[:, :, None] - u[ti][:, None, :])).sum(axis=-1))
-        y *= np.abs(x)
-        return _kronrod(y, h)
-
+    kernel = functools.partial(_radial_kernel, u)
     tidx, pa, pb = _radial_panels(u)
-    pk, pe = _in_chunks(kernel, u.shape[1], tidx, pa, pb)
+    pk, pe = _in_chunks(kernel, tidx, pa, pb)
     evals = 15 * len(pa)
     val = np.zeros(m)
     err = np.zeros(m)
@@ -431,7 +491,7 @@ def _radial_batch(
         na = np.concatenate([pa[sel], mid])
         nb = np.concatenate([mid, pb[sel]])
         nt = np.concatenate([tidx[sel], tidx[sel]])
-        nk, ne = _in_chunks(kernel, u.shape[1], nt, na, nb)
+        nk, ne = _in_chunks(kernel, nt, na, nb)
         evals += 15 * len(na)
         keep = ~sel
         tidx = np.concatenate([tidx[keep], nt])

@@ -1,10 +1,11 @@
 """The batched panel layer against the scalar code it replaced.
 
-The ladder builder, the retired radial slices and the chunked
-evaluation change only time and memory: cuts, panel counts, function
-evaluation counts and values must be the same bits as before.  The
-scalar ladder builder and the per-node radial loop are frozen below as
-the reference, and the pinned reprs were recorded with the scalar code.
+The ladder builder, the retired radial slices, the chunked evaluation
+and the pole-slab sums change only time and memory: cuts, panel counts,
+function evaluation counts and values must be the same bits as before.
+The scalar ladder builder, the per-node radial loop and the integrands
+that summed a (panels, 15, n) array are frozen below as the reference,
+and the pinned reprs were recorded with the scalar code.
 """
 
 import math
@@ -23,7 +24,12 @@ from logderiv.quadrature import (
     GRADE_MIN_WIDTH,
     QuadratureResult,
     _graded_panels,
+    _kronrod,
+    _mean_values,
+    _nodes,
+    _pole_sum,
     _radial_batch,
+    _radial_kernel,
     _radial_panels,
 )
 
@@ -134,6 +140,24 @@ def frozen_radial_batch(thetas, ts, rel_tol, max_rounds=200, panel_cap=400_000):
     )
 
 
+def frozen_radial_kernel(u, ti, a, b):
+    """The radial kernel that summed a (panels, 15, n) array, verbatim."""
+    h, x = _nodes(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.abs((1.0 / (x[:, :, None] - u[ti][:, None, :])).sum(axis=-1))
+    y *= np.abs(x)
+    return _kronrod(y, h)
+
+
+def frozen_mean_values(pts, p, weighted, x):
+    """The lp_mean integrand that summed a (panels, 15, n) array, verbatim."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.abs((1.0 / (x[..., None] - pts)).sum(axis=-1)) ** p
+    if weighted:
+        g = g * np.abs(x) ** p
+    return (g,)
+
+
 def one_row(lo, hi, breaks, ladders):
     return _graded_panels(lo, hi, breaks, *np.array(ladders).reshape(-1, 4).T)
 
@@ -142,6 +166,18 @@ def assert_panels_equal(got, want):
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.array_equal(g, w)
+
+
+def assert_same_bits(got, want):
+    # Every number has the same bits.  A NaN only has to be a NaN: IEEE
+    # 754 leaves open which NaN operand a sum passes on, and numpy's
+    # compiled loops pick their own operand order.
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        g, w = g.view(float), w.view(float)
+        nan = np.isnan(w)
+        assert np.array_equal(np.isnan(g), nan)
+        assert np.array_equal(g[~nan].view(np.uint64), w[~nan].view(np.uint64))
 
 
 def case_thetas(rng, n, kind):
@@ -205,6 +241,80 @@ def test_retired_slices_match_full_refinement(n, limits):
     assert outcome(_radial_batch, thetas, ts, 1e-7, **limits) == want
 
 
+def test_pole_sum_matches_numpy_sum_order():
+    # numpy's pairwise order for complex last-axis sums, at every size
+    # through three levels of halving, with magnitudes over 1e+-30 and
+    # some inf and nan terms
+    rng = np.random.default_rng(25)
+    specials = np.array([np.inf, -np.inf, complex(np.inf, np.nan), complex(0.0, -np.inf), np.nan])
+    for c in range(1, 301):
+        mag = 10.0 ** rng.uniform(-30.0, 30.0, (4, 15, c))
+        stack = mag * np.exp(1j * rng.uniform(0.0, TWO_PI, (4, 15, c)))
+        odd = rng.random((4, 15, c)) < 0.01
+        stack[odd] = rng.choice(specials, int(odd.sum()))
+        with np.errstate(invalid="ignore"):
+            got = _pole_sum(lambda k: stack[..., k].copy(), c)
+            want = stack.sum(axis=-1)
+        assert_same_bits((got,), (want,))
+
+
+def test_pole_sum_keeps_negative_zero():
+    # a documented difference besides NaN payloads: numpy adds its sum
+    # to +0.0
+    stack = np.full((2, 15, 5), complex(-0.0, -0.0))
+    got = _pole_sum(lambda k: stack[..., k].copy(), 5)
+    assert np.signbit(got.real).all() and np.signbit(got.imag).all()
+    assert not np.signbit(stack.sum(axis=-1).real).any()
+
+
+SLAB_NS = [1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64, 65, 128, 256, 1024]
+
+
+def near_pole_panels(rng, centers):
+    """One panel per center: the first half anywhere in [-1, 1], the
+    rest with a Kronrod node within 1e-13 of their center."""
+    count = len(centers)
+    half = count // 2
+    a = rng.uniform(-1.0, 1.0, half)
+    b = np.minimum(a + 10.0 ** rng.uniform(-12.0, 0.0, half), 1.0)
+    c = centers[half:] + rng.uniform(-1e-13, 1e-13, count - half)
+    w = 10.0 ** rng.uniform(-13.0, -1.0, count - half)
+    # the panel's node-th Kronrod node sits at c
+    na = c - w * (1.0 + _XGK[rng.integers(0, 15, count - half)])
+    return np.concatenate([a, na]), np.concatenate([b, na + 2.0 * w])
+
+
+@pytest.mark.parametrize("n", SLAB_NS)
+def test_radial_kernel_matches_frozen_kernel(n):
+    # half the slices within 1e-13 to 1e-11 of a pole angle, so near-pole
+    # nodes sit that close to the pole itself
+    rng = np.random.default_rng([26, n])
+    thetas = case_thetas(rng, n, "uniform" if n % 2 else 1e-9)
+    ts = case_nodes(rng, thetas, 6)
+    u = np.exp(1j * (thetas[None, :] - ts[:, None]))
+    panels = 240 if n <= 256 else 40
+    ti = rng.integers(0, len(ts), panels)
+    a, b = near_pole_panels(rng, u.real[ti, rng.integers(0, n, panels)])
+    assert_same_bits(_radial_kernel(u, ti, a, b), frozen_radial_kernel(u, ti, a, b))
+
+
+@pytest.mark.parametrize("n", SLAB_NS)
+def test_mean_values_match_frozen_integrand(n):
+    rng = np.random.default_rng([27, n])
+    thetas = case_thetas(rng, n, "uniform" if n % 2 else 1e-12)
+    # poles on the real axis and within 1e-13 of it
+    edge = (0.0, 1e-13, math.pi - 1e-13)
+    thetas[: max(1, n // 8)] = [edge[k % 3] for k in range(max(1, n // 8))]
+    pts = PoleSet(tuple(thetas)).points
+    panels = 240 if n <= 256 else 40
+    a, b = near_pole_panels(rng, rng.choice(np.cos(thetas), panels))
+    _, x = _nodes(a, b)
+    for p in (0.5, 1.0, 2.0):
+        for weighted in (False, True):
+            got = _mean_values(pts, p, weighted, x)
+            assert_same_bits(got, frozen_mean_values(pts, p, weighted, x))
+
+
 def test_graded_panels_match_scalar_builder_on_seeded_ladders():
     # 300 one-row cases in the shapes lp_mean, area_integral and the
     # extremal kernel build: two-sided ladders down to GRADE_MIN_WIDTH,
@@ -263,7 +373,6 @@ def test_chunked_evaluation_is_bit_identical(monkeypatch):
     poles = PoleSet(tuple(np.random.default_rng(23).uniform(0.0, TWO_PI, 40)))
     spec = MeanSpec(p=1.5, weighted=True)
     whole = lp_mean(poles, spec)
-    monkeypatch.setattr(quadrature, "_CHUNK_GATE", 0)
     monkeypatch.setattr(quadrature, "_CHUNK_ELEMENTS", 1000)
     assert lp_mean(poles, spec) == whole
     assert repr(area_integral(equally_spaced(3), rel_tol=1e-6)) == PINNED_AREA_N3
