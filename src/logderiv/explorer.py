@@ -6,9 +6,11 @@ angle torus (quadrature noise makes finite-difference gradients
 unreliable at tight tolerances).  The disk objective is rotation
 invariant, so the first angle is gauged to 0 there; interval objectives
 are not, but conjugation symmetry is quotiented when reporting angles.
-Search runs at a loosened quadrature tolerance; the incumbent and the
-equally spaced reference are re-evaluated at 1e-9 before reporting.
-All outcomes are evidence tables, never verdicts.
+Search runs at a loosened quadrature tolerance, where an unconverged
+value still steers the search; the incumbent and the equally spaced
+reference are re-evaluated at 1e-9 before reporting, and a value that
+misses 1e-9 raises instead of being reported.  All outcomes are
+evidence tables, never verdicts.
 """
 
 from __future__ import annotations
@@ -91,18 +93,13 @@ def _objective_floor(obj: Objective, n: int) -> float:
 
 
 def _evaluate(obj: Objective, angles: Sequence[float], rel_tol: float) -> float:
+    """The objective at rel_tol; raises ToleranceNotMet if it is missed."""
     poles = PoleSet(tuple(angles))
-    try:
-        if obj.kind == AREA:
-            return area_integral(poles, rel_tol=rel_tol).value
-        spec = MeanSpec(
-            p=obj.p, weighted=(obj.kind == WEIGHTED_MEAN), rel_tol=rel_tol
-        )
-        result = lp_mean(poles, spec)
-        return math.inf if result.divergent else result.value
-    except ToleranceNotMet as exc:
-        # An unconverged value is still a usable search signal.
-        return exc.result.value if exc.result is not None else math.inf
+    if obj.kind == AREA:
+        return area_integral(poles, rel_tol=rel_tol).value
+    spec = MeanSpec(p=obj.p, weighted=(obj.kind == WEIGHTED_MEAN), rel_tol=rel_tol)
+    result = lp_mean(poles, spec)
+    return math.inf if result.divergent else result.value
 
 
 def optimize(
@@ -122,6 +119,8 @@ def optimize(
     research finding and are counted in the record.  For the area
     objective the first angle is pinned to gauge_angle; the reported
     minimum must not depend on that choice beyond search tolerance.
+    The reported values are re-evaluated at FINAL_TOL, and one that
+    misses it raises ToleranceNotMet.
     """
     if seeds < 1:
         raise DomainError(f"seeds must be >= 1, got {seeds}")
@@ -142,7 +141,11 @@ def optimize(
 
     def fun(x: np.ndarray) -> float:
         state["evals"] += 1
-        value = _evaluate(obj, full_angles(x), obj.tolerance)
+        try:
+            value = _evaluate(obj, full_angles(x), obj.tolerance)
+        except ToleranceNotMet as exc:
+            # An unconverged value is still a usable search signal.
+            value = exc.result.value if exc.result is not None else math.inf
         if state["evals"] % 100 == 0 and math.isfinite(value):
             if value < floor * (1.0 - 1e-3):
                 state["violations"] += 1

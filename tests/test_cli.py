@@ -253,3 +253,16 @@ def test_registered_flags_are_accepted(command, tmp_path, capsys):
     assert {a for a in argv if a.startswith("--")} == registered
     assert main([command, *argv]) == 0
     assert (tmp_path / "out").stat().st_size > 0
+
+
+def test_explore_unconverged_final_value_exits_3(monkeypatch, capsys):
+    # explore --n 12 --tol 1e-4 once printed the radial batch's partial
+    # sum (19965.88) as the reference area and exited 0
+    import logderiv.explorer as explorer
+    from test_explorer import fake_area_integral
+
+    monkeypatch.setattr(explorer, "area_integral", fake_area_integral([]))
+    assert main(["explore", "--n", "3", "--seeds", "1", "--budget", "100", "--tol", "1e-4"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "numerical failure" in out.err

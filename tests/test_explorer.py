@@ -16,7 +16,9 @@ from logderiv import (
     BudgetExhausted,
     DomainError,
     Objective,
+    QuadratureResult,
     StudyRecord,
+    ToleranceNotMet,
     angles_sidecar,
     canonical_angles,
     equally_spaced,
@@ -241,3 +243,35 @@ def test_wall_time_is_a_float(monkeypatch, n, kind):
     with pytest.raises(BudgetExhausted) as excinfo:
         optimize(4, obj, seeds=60, budget=100, seed=0)
     assert type(excinfo.value.record.wall_time) is float
+
+
+def fake_area_integral(tolerances):
+    """An area_integral that answers at search tolerances and misses
+    FINAL_TOL, raising the unconverged partial result with it."""
+    import logderiv.explorer as explorer
+
+    def area_integral(poles, rel_tol):
+        tolerances.append(rel_tol)
+        value = 5.0 + sum(math.cos(t) ** 2 for t in poles.angles)
+        if rel_tol == explorer.FINAL_TOL:
+            partial = QuadratureResult(19965.88, 2.75, False, 170453, 2701650)
+            raise ToleranceNotMet("radial slices failed to converge", result=partial)
+        return QuadratureResult(value, 0.0, False, 10, 150)
+
+    return area_integral
+
+
+def test_unconverged_final_value_raises(monkeypatch):
+    # search-phase values still steer the search, but a value that misses
+    # FINAL_TOL is never reported as the area
+    import logderiv.explorer as explorer
+
+    tolerances = []
+    monkeypatch.setattr(explorer, "area_integral", fake_area_integral(tolerances))
+    obj = Objective(AREA, tolerance=1e-4)
+    with pytest.raises(ToleranceNotMet):
+        optimize(3, obj, seeds=1, budget=100, seed=0)
+    assert tolerances.count(1e-4) > 1
+    assert tolerances[-1] == explorer.FINAL_TOL
+    with pytest.raises(ToleranceNotMet):
+        optimize(4, obj, seeds=60, budget=100, seed=0)
