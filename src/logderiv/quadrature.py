@@ -79,14 +79,14 @@ _WG = np.array([
 GRADE_MIN_WIDTH = 1e-13
 _TAIL_WINDOW = 1e-8
 
-# Memory bounds of the panel layer.  The integrands hold at most about
-# _LIVE_SLABS (panels, 15) slabs at once, whatever n is, and evaluate in
-# chunks of at most _CHUNK_ELEMENTS slab elements.  The size gate that
-# once kept small evaluations single-shot is gone: it spared the page
-# faults of (panels, 15, n) arrays, and with slabs one chunk size is as
-# fast on the lp_means of n <= 20, n = 64 and 256 and on the radial
-# kernel, with fewer page faults.  Ladders are built for at most
-# _LADDER_ELEMENTS (row, ladder) pairs at a time.
+# Memory bounds of the panel layer.  An integrand holds at most about
+# _LIVE_SLABS (panels, 15) slabs at once, whatever n is, and every
+# evaluation runs in chunks of at most _CHUNK_ELEMENTS slab elements.
+# Chunks of 2^17 were at least as fast as chunks of 2^15, 2^16 or 2^18,
+# and as single-shot evaluations up to 2^20 elements, on the lp_means
+# of n <= 20, n = 64 and 256 and on the radial kernel, with the fewest
+# page faults.  Ladders are built for at most _LADDER_ELEMENTS (row,
+# ladder) pairs at a time.
 _LIVE_SLABS = 8
 _CHUNK_ELEMENTS = 1 << 17
 _LADDER_ELEMENTS = 1 << 16
@@ -338,7 +338,9 @@ def _real_pole_tail(
     return lead - corr, err
 
 
-def _mean_values(pts: np.ndarray, p: float, weighted: bool, x: np.ndarray) -> Tuple[np.ndarray]:
+def _mean_values(
+    pts: np.ndarray, p: float, weighted: bool, x: np.ndarray
+) -> Tuple[np.ndarray]:
     """The lp_mean integrand |g|^p, times |x|^p if weighted, at nodes x."""
     g = _abs_g(x, pts) ** p
     if weighted:
