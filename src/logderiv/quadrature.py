@@ -417,12 +417,13 @@ def _radial_panels(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _radial_kernel(u: np.ndarray, ti: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _radial_kernel(uT: np.ndarray, ti: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Kronrod value and error of |r| |g(r e^{it})| on panels (ti, a, b),
-    where row ti of u holds the slice's pole directions."""
+    where column ti of the C-contiguous uT holds the slice's pole
+    directions.  take would copy a non-contiguous uT whole on each call."""
     h, x = _nodes(a, b)
     # one contiguous (panels, 1) column of pole directions per pole
-    y = _abs_g(x, u.T.take(ti, axis=1)[:, :, None])
+    y = _abs_g(x, uT.take(ti, axis=1)[:, :, None])
     y *= np.abs(x)
     return _kronrod(y, h)
 
@@ -456,7 +457,7 @@ def _radial_batch(
 
     m = len(ts)
     u = np.exp(1j * (thetas[None, :] - ts[:, None]))  # (m, n)
-    kernel = functools.partial(_radial_kernel, u)
+    kernel = functools.partial(_radial_kernel, np.ascontiguousarray(u.T))
     tidx, pa, pb = _radial_panels(u)
     pk, pe = _in_chunks(kernel, tidx, pa, pb)
     evals = 15 * len(pa)
