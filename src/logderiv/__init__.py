@@ -3,7 +3,6 @@ polynomials with all zeros on the unit circle, plus the Chebyshev-norm
 corollaries for zeros in the closed disk."""
 
 from .bounds import (
-    AREA_EQUISPACED_REFERENCE,
     AREA_LOWER_BOUND,
     endpoint_window_width,
     level_measure_constant,
@@ -19,7 +18,6 @@ from .certify import (
     PolePartition,
     VerificationReport,
     build_certificate,
-    certificate_sweep,
     classify_poles,
     common_segment,
     guarantee_segment,
@@ -77,7 +75,6 @@ from .poles import (
 from .polynorm import (
     DiskPolynomial,
     ZeroCounts,
-    as_pole_set,
     cheb_norm,
     check_imbalance_bound,
     check_quarter_bound,

@@ -55,4 +55,3 @@ def endpoint_window_width(n: int, delta: float) -> float:
 
 
 AREA_LOWER_BOUND = math.pi / 192.0
-AREA_EQUISPACED_REFERENCE = math.pi / 18.0

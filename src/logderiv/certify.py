@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .bounds import level_measure_constant
 from .errors import DomainError, PreconditionViolation
@@ -377,11 +377,3 @@ def verify_certificate(
         first_failure=first_failure,
         notes=tuple(notes),
     )
-
-
-def certificate_sweep(
-    poles: PoleSet, delta: float, ms: Sequence[int] = tuple(range(1, 9))
-) -> List[Certificate]:
-    """Certificates across a range of band depths; the endpoint-branch
-    witness widens toward {|x| >= 1 - K/(2n)} as the depth grows."""
-    return [build_certificate(poles, delta, m) for m in ms]

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .intervals import IntervalUnion
 from .poles import PoleSet
-from .quadrature import _adaptive, _graded_panels
+from .quadrature import _graded_panels, _integrate
 
 _TAIL = 1e-8
 
@@ -72,9 +72,9 @@ def _kernel_integral(exponent: float, p: float, rel_tol: float) -> float:
         tail = w ** (1.0 + exponent) / (1.0 + exponent)
         tail -= 0.5 * p * w ** (3.0 + exponent) / (3.0 + exponent)
         _, a, b = _graded_panels(w, 1.0, [], [0.0], [0.5], [0.5 * w], [+1])
-        return _adaptive(f, a, b, rel_tol, 50_000).value + tail
+        return _integrate(f, a, b, rel_tol, 50_000).value + tail
     _, a, b = _graded_panels(0.0, 1.0, [0.5], [], [], [], [])
-    return _adaptive(f, a, b, rel_tol, 50_000).value
+    return _integrate(f, a, b, rel_tol, 50_000).value
 
 
 def sharp_lp_mean(n: int, p: float, rel_tol: float = 1e-10) -> float:

@@ -18,16 +18,12 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, ZeroAtEndpoint
-from .poles import PoleSet
 
 _DISK_TOL = 1e-14
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Uniform sampling cells on each half of [-1, 1] in the positivity check.
 _POSITIVITY_SAMPLES = 4096
-
-# How far from 1 a zero's modulus may be for as_pole_set.
-_UNIT_CIRCLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -224,17 +220,6 @@ def check_two_sided_positivity(poly: DiskPolynomial, delta: float) -> TwoSidedRe
                 total += (c - a) if good[i] else (b - c)
         halves.append(total)
     return TwoSidedReport(halves[0], halves[1], halves[0] > 0.0 and halves[1] > 0.0)
-
-
-def as_pole_set(poly: DiskPolynomial) -> PoleSet:
-    """Adapter for unimodular-zero polynomials: their log-derivative is a
-    unit-pole sum, so the rest of the toolkit applies."""
-    angles = []
-    for z in poly.zeros:
-        if abs(abs(z) - 1.0) > _UNIT_CIRCLE_TOL:
-            raise DomainError(f"zero {z} is not on the unit circle")
-        angles.append(math.atan2(z.imag, z.real))
-    return PoleSet(tuple(angles))
 
 
 def random_disk_polynomial(rng: np.random.Generator, n: int) -> DiskPolynomial:

@@ -1,10 +1,14 @@
 """Adaptive panel quadrature for means of |g| on [-1, 1] and the disk.
 
-The workhorse is a 15-point Gauss-Kronrod pair per panel: the Kronrod
-value is kept, |K - G| is the panel error.  Panels carrying the top half
-of the global error are bisected each round, and panel sums are reduced
-with exact compensated summation in left-to-right panel order, so a
-fixed panel tree always reproduces the same bits.
+One engine, _adaptive, refines every integral here: lp_mean, both
+directions of the disk integral and the extremal closed forms.  Each
+panel gets a 15-point Gauss-Kronrod pair: the Kronrod value is kept,
+|K - G| is the panel error.  The engine refines rows of panels, one row
+per integral.  Each round it retires the rows that meet rel_tol, which
+drop their panels but still count them toward the panel budget, and
+bisects the panels of the others whose error is above 0.4 times their
+row's largest.  Row sums are bincounts in array order, so a fixed panel
+tree always gives the same bits.
 
 Singularities of |g| sit above the projections cos(theta_k) at height
 |sin(theta_k)|; panels within that distance are pre-split geometrically
@@ -18,8 +22,11 @@ float grid near the endpoint, so the innermost window is handled by a
 second-order closed-form tail instead.
 
 The disk integral of |g| reduces to an angular integral over [0, pi] of
-weighted radial means, each of which is again a panel integral; radial
-pools for all pending angles are refined together in lockstep batches.
+weighted radial means W(t).  The angular direction is one row; the
+nodes of each batch of new angular panels are a batch of radial rows.
+At rel_tol 1e-6 equally spaced poles converge for n <= 14, 16, 18 and
+20; n = 15, 17, 19, 21 to 24 and a random n = 16 still pass the radial
+panel budget and raise ToleranceNotMet.
 
 The panel layer is vectorized and bounded in memory, and none of it
 changes a bit of any result:
@@ -28,17 +35,14 @@ changes a bit of any result:
   level j as w 2^-j, which is exact, so every cut is the float that
   repeated halving gives.  Only levels still above their min width are
   built, and rows are processed in chunks.
-- A radial slice that meets its tolerance is retired: its sums are
-  stored and its panels dropped, so later rounds work on pending
-  slices only.  Retired panels still count toward the panel cap.
 - The integrands of lp_mean and of the radial slices add their poles
   one (panels, 15) slab at a time, in the pairwise order that
   ndarray.sum(axis=-1) uses, so no (panels, 15, n) array is built and
   the sums keep numpy's bits.  Each slab is a whole-array operation,
   where numpy's reduction over the short pole axis made one inner-loop
   call per node.
-- Those integrands evaluate their nodes in chunks of a fixed size, so
-  lp_mean runs in bounded memory (tested at n = 1024).
+- The engine calls its kernel on chunks of a fixed size, so lp_mean
+  runs in bounded memory (tested at n = 1024).
 """
 
 from __future__ import annotations
@@ -91,8 +95,9 @@ _LIVE_SLABS = 8
 _CHUNK_ELEMENTS = 1 << 17
 _LADDER_ELEMENTS = 1 << 16
 
-# Angular panel budget of area_integral.
+# Panel budgets of area_integral: angular, and per batch of radial slices.
 _AREA_MAX_PANELS = 4000
+_RADIAL_MAX_PANELS = 400_000
 
 
 @dataclass(frozen=True)
@@ -242,22 +247,6 @@ def _abs_g(x: np.ndarray, z) -> np.ndarray:
         return np.abs(_pole_sum(term, len(z)))
 
 
-def _in_chunks(fn, *cols: np.ndarray):
-    """fn over panel columns, in chunks when the evaluation is large.
-
-    One call of fn holds up to _LIVE_SLABS (panels, 15) temporaries, and
-    a chunk holds at most _CHUNK_ELEMENTS of their elements.  fn returns
-    a tuple of columns.  Every panel's value depends on that panel
-    alone, so chunking changes no bit of the result.
-    """
-    step = max(1, _CHUNK_ELEMENTS // (15 * _LIVE_SLABS))
-    total = len(cols[0])
-    if total <= step:
-        return fn(*cols)
-    parts = [fn(*(x[i : i + step] for x in cols)) for i in range(0, total, step)]
-    return tuple(np.concatenate(col) for col in zip(*parts))
-
-
 def _nodes(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
@@ -276,49 +265,96 @@ def _rule(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
 
 
 def _adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
+    kernel: Callable,
+    rows: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
+    m: int,
     rel_tol: float,
     max_panels: int,
-) -> QuadratureResult:
-    k, e = _rule(f, a, b)
+) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """The adaptive Gauss-Kronrod engine over m rows of panels (rows, a, b).
+
+    kernel(rows, a, b) returns each panel's Kronrod value and error, and
+    is called on chunks of panels.  Returns each row's value and error,
+    the panel count and the evaluation count.  Raises ToleranceNotMet,
+    with the sums over all rows as its result, once max_panels is passed
+    or no selected panel is wider than 1e-15.
+    """
+    step = max(1, _CHUNK_ELEMENTS // (15 * _LIVE_SLABS))
+
+    def evaluate(r, a, b):
+        # every panel's value depends on that panel alone, so chunking
+        # changes no bit of the result
+        if len(a) <= step:
+            return kernel(r, a, b)
+        parts = [kernel(r[i : i + step], a[i : i + step], b[i : i + step])
+                 for i in range(0, len(a), step)]
+        return tuple(np.concatenate(col) for col in zip(*parts))
+
+    k, e = evaluate(rows, a, b)
     evals = 15 * len(a)
+    val = np.zeros(m)
+    err = np.zeros(m)
+    open_ = np.ones(m, dtype=bool)  # rows not yet retired
+    retired = 0  # panels of retired rows
     while True:
-        order = np.argsort(a, kind="stable")
-        value = math.fsum(k[order].tolist())
-        err = math.fsum(e[order].tolist())
-        target = rel_tol * abs(value)
-        if err <= target:
-            return QuadratureResult(value, err, False, len(a), evals)
-        partial = QuadratureResult(value, err, False, len(a), evals)
-        if len(a) >= max_panels:
-            raise ToleranceNotMet(
-                f"panel budget {max_panels} reached with error {err:.3e} > {target:.3e}",
-                result=partial,
-            )
-        splittable = (b - a) > 5e-16 * np.maximum(np.abs(a), np.abs(b)) + 5e-300
-        worst = np.lexsort((a, -e))
-        cum = np.cumsum(e[worst])
-        m = int(np.searchsorted(cum, 0.5 * err)) + 1
-        sel = worst[:m]
-        sel = sel[splittable[sel]]
-        if sel.size == 0:
-            raise ToleranceNotMet(
-                f"unsplittable panels still carry error {err:.3e} > {target:.3e}",
-                result=partial,
-            )
+        # bincount adds each row's panels in array order, and that order
+        # survives retirement, so the sums are the same bits as over the
+        # full panel set.
+        val[open_] = np.bincount(rows, weights=k, minlength=m)[open_]
+        err[open_] = np.bincount(rows, weights=e, minlength=m)[open_]
+        # a NaN error keeps its row pending
+        pending = open_ & ~(err <= rel_tol * np.abs(val))
+        if not pending.any():
+            return val, err, retired + len(a), evals
+        if retired + len(a) > max_panels:
+            reason = f"panel budget {max_panels} reached"
+            break
+        if (open_ & ~pending).any():
+            live = pending[rows]
+            retired += len(a) - int(live.sum())
+            rows, a, b, k, e = rows[live], a[live], b[live], k[live], e[live]
+            open_ = pending
+        emax = np.zeros(m)
+        np.maximum.at(emax, rows, e)
+        # Every domain lies inside [-4, 4], where a panel wider than
+        # 1e-15 spans at least three floats and so has an interior
+        # midpoint.
+        sel = (e > 0.4 * emax[rows]) & ((b - a) > 1e-15)
+        if not sel.any():
+            reason = "no splittable panel left"
+            break
         mid = 0.5 * (a[sel] + b[sel])
-        new_a = np.concatenate([a[sel], mid])
-        new_b = np.concatenate([mid, b[sel]])
-        nk, ne = _rule(f, new_a, new_b)
-        evals += 15 * len(new_a)
-        keep = np.ones(len(a), dtype=bool)
-        keep[sel] = False
-        a = np.concatenate([a[keep], new_a])
-        b = np.concatenate([b[keep], new_b])
+        na = np.concatenate([a[sel], mid])
+        nb = np.concatenate([mid, b[sel]])
+        nr = np.concatenate([rows[sel], rows[sel]])
+        nk, ne = evaluate(nr, na, nb)
+        evals += 15 * len(na)
+        keep = ~sel
+        rows = np.concatenate([rows[keep], nr])
+        a = np.concatenate([a[keep], na])
+        b = np.concatenate([b[keep], nb])
         k = np.concatenate([k[keep], nk])
         e = np.concatenate([e[keep], ne])
+
+    target = rel_tol * float(np.abs(val[pending]).sum())
+    raise ToleranceNotMet(
+        f"{reason} with error {float(err[pending].sum()):.3e} > {target:.3e}",
+        result=QuadratureResult(
+            float(val.sum()), float(err.sum()), False, retired + len(a), evals
+        ),
+    )
+
+
+def _integrate(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray,
+               rel_tol: float, max_panels: int) -> QuadratureResult:
+    """integral of f over the panels (a, b), through _adaptive as one row."""
+    val, err, panels, evals = _adaptive(
+        lambda rows, a, b: _rule(f, a, b),
+        np.zeros(len(a), dtype=np.intp), a, b, 1, rel_tol, max_panels,
+    )
+    return QuadratureResult(float(val[0]), float(err[0]), False, panels, evals)
 
 
 def _real_pole_tail(
@@ -338,14 +374,12 @@ def _real_pole_tail(
     return lead - corr, err
 
 
-def _mean_values(
-    pts: np.ndarray, p: float, weighted: bool, x: np.ndarray
-) -> Tuple[np.ndarray]:
+def _mean_values(pts: np.ndarray, p: float, weighted: bool, x: np.ndarray) -> np.ndarray:
     """The lp_mean integrand |g|^p, times |x|^p if weighted, at nodes x."""
     g = _abs_g(x, pts) ** p
     if weighted:
         g = g * np.abs(x) ** p
-    return (g,)
+    return g
 
 
 def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
@@ -358,11 +392,6 @@ def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
         return QuadratureResult(math.inf, 0.0, True, 0, 0)
 
     p = spec.p
-    values = functools.partial(_mean_values, pts, p, spec.weighted)
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return _in_chunks(values, x)[0]
-
     ladders: List[Tuple[float, float, float, int]] = []
     for t in angles:
         if t == 0.0 or t == math.pi:
@@ -393,7 +422,8 @@ def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
             ladders.append((lo, 0.5, w / 2.0, +1))
 
     _, a, b = _graded_panels(lo, hi, [0.0], *np.array(ladders).reshape(-1, 4).T)
-    core = _adaptive(integrand, a, b, spec.rel_tol, spec.max_panels)
+    integrand = functools.partial(_mean_values, pts, p, spec.weighted)
+    core = _integrate(integrand, a, b, spec.rel_tol, spec.max_panels)
     return QuadratureResult(
         core.value + tail_value,
         core.error_estimate + tail_err,
@@ -428,25 +458,15 @@ def _radial_kernel(uT: np.ndarray, ti: np.ndarray, a: np.ndarray, b: np.ndarray)
     return _kronrod(y, h)
 
 
-def _radial_batch(
-    thetas: np.ndarray,
-    ts: np.ndarray,
-    rel_tol: float,
-    max_rounds: int = 200,
-    panel_cap: int = 400_000,
-) -> Tuple[np.ndarray, np.ndarray, int, int]:
-    """W(t) = integral over [-1,1] of |r| |g(r e^{it})| dr, batched over t.
+def _radial_batch(thetas: np.ndarray, ts: np.ndarray):
+    """The radial slices W(t) = integral over [-1,1] of |r| |g(r e^{it})| dr
+    for every t in ts, as the kernel, panels and row count of _adaptive.
 
     Radial pole projections are cos(theta_k - t) at height
     |sin(theta_k - t)|.  A t that lands exactly on a pole angle would
     make its slice divergent; nodes are interior points of angular
     panels so this cannot happen for honest inputs, but it is guarded
     by a deterministic nudge.
-
-    A slice whose error meets rel_tol is retired: its panels never
-    change again, so its sums are stored and its panels dropped, and
-    later rounds touch only pending slices.  Retired panels still count
-    toward panel_cap.
     """
     ts = ts.copy()
     for _ in range(4):
@@ -455,61 +475,9 @@ def _radial_batch(
             break
         ts[hit] += 4e-13
 
-    m = len(ts)
     u = np.exp(1j * (thetas[None, :] - ts[:, None]))  # (m, n)
     kernel = functools.partial(_radial_kernel, np.ascontiguousarray(u.T))
-    tidx, pa, pb = _radial_panels(u)
-    pk, pe = _in_chunks(kernel, tidx, pa, pb)
-    evals = 15 * len(pa)
-    val = np.zeros(m)
-    err = np.zeros(m)
-    open_ = np.ones(m, dtype=bool)  # slices not yet retired
-    retired = 0  # panels of retired slices
-
-    def reduce_open():
-        # bincount adds each slice's panels in array order, and that
-        # order survives retirement, so the sums are the same bits as
-        # over the full panel set.
-        val[open_] = np.bincount(tidx, weights=pk, minlength=m)[open_]
-        err[open_] = np.bincount(tidx, weights=pe, minlength=m)[open_]
-
-    for _ in range(max_rounds):
-        reduce_open()
-        pending = open_ & (err > rel_tol * np.abs(val))
-        if not pending.any():
-            return val, err, retired + len(pa), evals
-        if retired + len(pa) > panel_cap:
-            break
-        if (open_ & ~pending).any():
-            live = pending[tidx]
-            retired += len(pa) - int(live.sum())
-            tidx, pa, pb, pk, pe = tidx[live], pa[live], pb[live], pk[live], pe[live]
-            open_ = pending
-        emax = np.zeros(m)
-        np.maximum.at(emax, tidx, pe)
-        sel = (pe > 0.4 * emax[tidx]) & ((pb - pa) > 1e-15)
-        if not sel.any():
-            break
-        mid = 0.5 * (pa[sel] + pb[sel])
-        na = np.concatenate([pa[sel], mid])
-        nb = np.concatenate([mid, pb[sel]])
-        nt = np.concatenate([tidx[sel], tidx[sel]])
-        nk, ne = _in_chunks(kernel, nt, na, nb)
-        evals += 15 * len(na)
-        keep = ~sel
-        tidx = np.concatenate([tidx[keep], nt])
-        pa = np.concatenate([pa[keep], na])
-        pb = np.concatenate([pb[keep], nb])
-        pk = np.concatenate([pk[keep], nk])
-        pe = np.concatenate([pe[keep], ne])
-
-    reduce_open()
-    raise ToleranceNotMet(
-        "radial slices failed to converge",
-        result=QuadratureResult(
-            float(val.sum()), float(err.sum()), False, retired + len(pa), evals
-        ),
-    )
+    return (kernel, *_radial_panels(u), len(ts))
 
 
 def area_integral(poles: PoleSet, rel_tol: float = 1e-6) -> QuadratureResult:
@@ -523,21 +491,29 @@ def area_integral(poles: PoleSet, rel_tol: float = 1e-6) -> QuadratureResult:
     thetas = np.asarray(poles.angles)
     itol = rel_tol / 5.0
 
-    sing = sorted({math.fmod(t, math.pi) for t in thetas})
-    if any(s == 0.0 for s in sing):
+    # Singular angles closer than 1e-14, mod pi, are merged: fmod of a
+    # pole and of its antipode can differ by an ulp, 2 pi k / n can land
+    # an ulp off the real axis, and panels between two such angles
+    # cannot be split.
+    fm = (math.fmod(t, math.pi) for t in thetas)
+    sing: List[float] = []
+    for s in sorted(0.0 if min(s, math.pi - s) < 1e-14 else s for s in fm):
+        if not sing or s - sing[-1] > 1e-14:
+            sing.append(s)
+    if sing[0] == 0.0:
         sing.append(math.pi)
 
     evals_total = 0
 
     def outer_integrand(tmat: np.ndarray) -> np.ndarray:
         nonlocal evals_total
-        vals, _, _, evals = _radial_batch(thetas, tmat.ravel(), itol)
+        batch = _radial_batch(thetas, tmat.ravel())
+        vals, _, _, evals = _adaptive(*batch, itol, _RADIAL_MAX_PANELS)
         evals_total += evals
         return vals.reshape(tmat.shape)
 
     ladders = []
-    edges = [0.0] + sing + [math.pi]
-    uniq = sorted(set(edges))
+    uniq = sorted({0.0, *sing, math.pi})
     for s in sing:
         i = uniq.index(s)
         left_gap = s - uniq[i - 1] if i > 0 else 0.0
@@ -546,7 +522,7 @@ def area_integral(poles: PoleSet, rel_tol: float = 1e-6) -> QuadratureResult:
         ladders.append((s, 0.5 * gap, max(1e-6, gap * 2.0**-12), 0))
 
     _, a, b = _graded_panels(0.0, math.pi, [], *np.array(ladders).reshape(-1, 4).T)
-    core = _adaptive(outer_integrand, a, b, rel_tol, _AREA_MAX_PANELS)
+    core = _integrate(outer_integrand, a, b, rel_tol, _AREA_MAX_PANELS)
     return QuadratureResult(core.value, core.error_estimate, False, core.panels, evals_total)
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from logderiv import (
-    AREA_EQUISPACED_REFERENCE,
     AREA_LOWER_BOUND,
     DomainError,
     endpoint_window_width,
@@ -80,5 +79,3 @@ def test_window_width_shrinks_like_one_over_n():
 
 def test_area_constants():
     assert AREA_LOWER_BOUND == math.pi / 192.0
-    assert AREA_EQUISPACED_REFERENCE == math.pi / 18.0
-    assert AREA_LOWER_BOUND < AREA_EQUISPACED_REFERENCE

@@ -17,7 +17,6 @@ from logderiv import (
     SIDE_MINUS,
     SIDE_PLUS,
     build_certificate,
-    certificate_sweep,
     classify_poles,
     common_segment,
     eval_level_array,
@@ -386,7 +385,7 @@ def test_certificate_sweep_all_depths_verify():
     for _ in range(5):
         n = int(rng.integers(1, 10))
         ps = PoleSet(tuple(rng.uniform(0.0, TWO_PI, n)))
-        for cert in certificate_sweep(ps, 0.25):
+        for cert in [build_certificate(ps, 0.25, m) for m in range(1, 9)]:
             assert verify_certificate(ps, cert).ok
 
 

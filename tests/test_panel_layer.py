@@ -4,8 +4,9 @@ The ladder builder, the retired radial slices, the chunked evaluation
 and the pole-slab sums change only time and memory: cuts, panel counts,
 function evaluation counts and values must be the same bits as before.
 The scalar ladder builder, the per-node radial loop and the integrands
-that summed a (panels, 15, n) array are frozen below as the reference,
-and the pinned reprs were recorded with the scalar code.
+that summed a (panels, 15, n) array are frozen below as the reference.
+Whole integrals are checked against their oracles and for the same bits
+on a rerun and under small chunks.
 """
 
 import math
@@ -16,13 +17,15 @@ import pytest
 
 from logderiv import MeanSpec, PoleSet, ToleranceNotMet, area_integral, lp_mean
 from logderiv.explorer import equally_spaced
-from logderiv.extremal import sharp_poles
+from logderiv.extremal import sharp_lp_mean, sharp_poles
 from logderiv.quadrature import (
     _WG,
     _WGK,
     _XGK,
     GRADE_MIN_WIDTH,
+    _RADIAL_MAX_PANELS,
     QuadratureResult,
+    _adaptive,
     _graded_panels,
     _kronrod,
     _mean_values,
@@ -32,6 +35,7 @@ from logderiv.quadrature import (
     _radial_kernel,
     _radial_panels,
 )
+from test_quadrature import elliptic_area
 
 TWO_PI = 2.0 * math.pi
 
@@ -217,9 +221,9 @@ def test_radial_panels_match_per_node_loop(seed, n, kind):
     assert_panels_equal(_radial_panels(u), frozen_radial_panels(u))
 
 
-def outcome(batch, *args, **kw):
+def outcome(batch):
     try:
-        val, err, panels, evals = batch(*args, **kw)
+        val, err, panels, evals = batch()
     except ToleranceNotMet as exc:
         return repr(exc.result)
     return val.tolist(), err.tolist(), panels, evals
@@ -227,18 +231,20 @@ def outcome(batch, *args, **kw):
 
 @pytest.mark.parametrize(
     "limits",
-    [{}, {"max_rounds": 3}, {"max_rounds": 6}, {"panel_cap": 300}, {"panel_cap": 800},
+    [{}, {"rel_tol": 1e-4}, {"rel_tol": 1e-10}, {"panel_cap": 300}, {"panel_cap": 800},
      {"panel_cap": 2_000}],
 )
 @pytest.mark.parametrize("n", [1, 3, 5, 12])
 def test_retired_slices_match_full_refinement(n, limits):
-    # converged, capped and round-limited batches: same sums, panel and
-    # evaluation counts, and the same partial result on failure
+    # converged and capped batches: same sums, panel and evaluation
+    # counts, and the same partial result on failure
     rng = np.random.default_rng([24, n])
     thetas = case_thetas(rng, n, "uniform" if n % 2 else 1e-9)
     ts = case_nodes(rng, thetas, 30)
-    want = outcome(frozen_radial_batch, thetas, ts, 1e-7, **limits)
-    assert outcome(_radial_batch, thetas, ts, 1e-7, **limits) == want
+    rel_tol = limits.get("rel_tol", 1e-7)
+    cap = limits.get("panel_cap", _RADIAL_MAX_PANELS)
+    want = outcome(lambda: frozen_radial_batch(thetas, ts, rel_tol, panel_cap=cap))
+    assert outcome(lambda: _adaptive(*_radial_batch(thetas, ts), rel_tol, cap)) == want
 
 
 def test_pole_sum_matches_numpy_sum_order():
@@ -313,7 +319,7 @@ def test_mean_values_match_frozen_integrand(n):
     for p in (0.5, 1.0, 2.0):
         for weighted in (False, True):
             got = _mean_values(pts, p, weighted, x)
-            assert_same_bits(got, frozen_mean_values(pts, p, weighted, x))
+            assert_same_bits((got,), frozen_mean_values(pts, p, weighted, x))
 
 
 def test_graded_panels_match_scalar_builder_on_seeded_ladders():
@@ -376,36 +382,41 @@ def test_chunked_evaluation_is_bit_identical(monkeypatch):
     whole = lp_mean(poles, spec)
     monkeypatch.setattr(quadrature, "_CHUNK_ELEMENTS", 1000)
     assert lp_mean(poles, spec) == whole
-    assert repr(area_integral(equally_spaced(3), rel_tol=1e-6)) == PINNED_AREA_N3
 
 
-# Reprs recorded with the scalar ladder builder and unretired slices.
-PINNED_AREA_N3 = (
-    "QuadratureResult(value=5.684336365514995, error_estimate=4.892588888587572e-06, "
-    "divergent=False, panels=82, function_evals=664110)"
-)
-PINNED_AREA_N12_PARTIAL = (
-    "QuadratureResult(value=19965.883490836713, error_estimate=2.752829565438395, "
-    "divergent=False, panels=170453, function_evals=2701650)"
-)
-PINNED_SHARP_256 = (
-    "QuadratureResult(value=1.7627471740391165, error_estimate=4.793749026046055e-15, "
-    "divergent=False, panels=21472, function_evals=322080)"
-)
+def same_bits_on_rerun_and_in_chunks(monkeypatch, integral):
+    import logderiv.quadrature as quadrature
+
+    first = integral()
+    assert repr(integral()) == repr(first)
+    # 8 panels per kernel call
+    monkeypatch.setattr(quadrature, "_CHUNK_ELEMENTS", 1000)
+    assert repr(integral()) == repr(first)
+    return first
 
 
-def test_pinned_area_integral_n3():
-    assert repr(area_integral(equally_spaced(3), rel_tol=1e-6)) == PINNED_AREA_N3
+def test_area_integral_n3_matches_elliptic_oracle(monkeypatch):
+    r = same_bits_on_rerun_and_in_chunks(
+        monkeypatch, lambda: area_integral(equally_spaced(3), rel_tol=1e-6)
+    )
+    assert r.value == pytest.approx(elliptic_area(3), rel=1e-6)
 
 
-def test_pinned_partial_result_of_unconverged_n12():
-    with pytest.raises(ToleranceNotMet) as info:
-        area_integral(equally_spaced(12), rel_tol=1e-6)
-    assert repr(info.value.result) == PINNED_AREA_N12_PARTIAL
+@pytest.mark.parametrize("n", [11, 12])
+def test_equally_spaced_area_converges(n):
+    # Unmerged, two singular angles an ulp apart left panels that could
+    # not split: at n = 12 fmod(theta, pi) of a pole and of its antipode,
+    # at n = 11 a pole at 2 pi - 1 ulp and the end of [0, pi].
+    r = area_integral(equally_spaced(n), rel_tol=1e-6)
+    assert r.value == pytest.approx(elliptic_area(n), rel=1e-6)
+    assert r.error_estimate <= 1e-6 * r.value
 
 
-def test_pinned_lp_mean_sharp_256():
-    assert repr(lp_mean(sharp_poles(256), MeanSpec(p=1.0))) == PINNED_SHARP_256
+def test_lp_mean_sharp_256_matches_closed_form(monkeypatch):
+    r = same_bits_on_rerun_and_in_chunks(
+        monkeypatch, lambda: lp_mean(sharp_poles(256), MeanSpec(p=1.0))
+    )
+    assert r.value == pytest.approx(sharp_lp_mean(256, 1.0), rel=1e-12)
 
 
 def test_lp_mean_memory_is_bounded_at_n256():

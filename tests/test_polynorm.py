@@ -9,7 +9,6 @@ from logderiv import (
     DiskPolynomial,
     DomainError,
     ZeroAtEndpoint,
-    as_pole_set,
     cheb_norm,
     check_imbalance_bound,
     check_quarter_bound,
@@ -197,15 +196,6 @@ def test_positivity_delta_domain():
         check_two_sided_positivity(DiskPolynomial((0.0,)), 0.5)
     with pytest.raises(DomainError):
         check_two_sided_positivity(DiskPolynomial((0.0,)), 0.0)
-
-
-def test_as_pole_set_adapter():
-    angles = (0.5, 2.0, 4.5)
-    poly = DiskPolynomial(tuple(complex(math.cos(t), math.sin(t)) for t in angles))
-    ps = as_pole_set(poly)
-    assert np.allclose(np.sort(ps.angles), np.sort(angles), atol=1e-12)
-    with pytest.raises(DomainError):
-        as_pole_set(DiskPolynomial((0.5,)))
 
 
 def test_json_round_trip():

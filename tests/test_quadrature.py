@@ -3,7 +3,9 @@
 Expected values below are frozen from independent oracles: hand
 antiderivatives where a closed form exists, scipy's QUADPACK on the
 reduced 1-D integrals, and a seeded 1e7-sample Monte-Carlo estimate for
-the area integral (seed 99, uniform-in-disk sampling).
+the area integral (seed 99, uniform-in-disk sampling).  The area of n
+equally spaced poles also has a one-dimensional elliptic form,
+elliptic_area, computed with scipy.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
 from logderiv import (
     DomainError,
@@ -24,7 +27,7 @@ from logderiv import (
     mean_lower_constant,
 )
 from logderiv.explorer import equally_spaced
-from logderiv.quadrature import _rule, mean_csv_row
+from logderiv.quadrature import _adaptive, _rule, mean_csv_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,6 +45,17 @@ REAL_POLE_P09 = 10.717734625362931  # real pole, p=0.9: 2^0.1/0.1
 MC_AREA = {1: 3.9964230362484283, 2: 5.129607655614626, 3: 5.6831865998292965}
 # nested scipy QUADPACK on the angular reduction, n=2 equally spaced
 SCIPY_AREA_N2 = 5.1289199558
+
+
+def elliptic_area(n):
+    """Disk integral of |g| for n equally spaced poles: the integral over
+    [0, 1] of 4n r^n K(m) / (1 + r^n) dr, with 1 - m = ((1 - r^n) / (1 + r^n))^2."""
+
+    def f(r):
+        q = r**n
+        return 4.0 * n * q * scipy.special.ellipkm1(((1.0 - q) / (1.0 + q)) ** 2) / (1.0 + q)
+
+    return scipy.integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
 def single_pole_at_i():
@@ -192,6 +206,16 @@ def test_tolerance_not_met_carries_partial_result():
     assert partial.error_estimate > 1e-8 * abs(partial.value)
 
 
+def test_nan_error_is_not_convergence():
+    # NaN > tol is false, so a NaN row must be kept pending explicitly
+    def kernel(rows, a, b):
+        return np.full(len(a), np.nan), np.full(len(a), np.nan)
+
+    edges = np.linspace(0.0, 1.0, 5)
+    with np.errstate(invalid="ignore"), pytest.raises(ToleranceNotMet):
+        _adaptive(kernel, np.zeros(4, dtype=np.intp), edges[:-1], edges[1:], 1, 1e-8, 100)
+
+
 def test_area_integral_single_pole_is_four():
     # chord-length identity: the disk integral of 1/|z - u| with |u| = 1
     r = area_integral(PoleSet((0.0,)), rel_tol=1e-7)
@@ -219,6 +243,15 @@ def test_area_integral_monte_carlo_oracle():
 def test_area_integral_scipy_oracle():
     r = area_integral(equally_spaced(2), rel_tol=1e-7)
     assert r.value == pytest.approx(SCIPY_AREA_N2, rel=1e-7)
+
+
+def test_elliptic_oracle_agrees_with_the_other_oracles():
+    assert elliptic_area(1) == pytest.approx(4.0, rel=1e-13)
+    assert elliptic_area(2) == pytest.approx(SCIPY_AREA_N2, rel=1e-10)
+    for n, ref in MC_AREA.items():
+        assert elliptic_area(n) == pytest.approx(ref, rel=5e-3)
+    assert elliptic_area(3) == pytest.approx(5.684337231024518, rel=1e-12)
+    assert elliptic_area(12) == pytest.approx(6.824996171875864, rel=1e-12)
 
 
 def test_area_integral_exceeds_universal_floor():
