@@ -24,12 +24,14 @@ class RootIsolationFailure(RuntimeError):
 class ToleranceNotMet(RuntimeError):
     """Adaptive quadrature hit its panel budget before reaching tolerance.
 
-    Carries the partial result in ``result``.
+    Carries the partial result in ``result``; a search that fails on it
+    puts its partial record in ``record``.
     """
 
-    def __init__(self, message, result=None):
+    def __init__(self, message, result=None, record=None):
         super().__init__(message)
         self.result = result
+        self.record = record
 
 
 class BudgetExhausted(RuntimeError):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,7 +76,9 @@ class StudyRecord:
 def equally_spaced(n: int) -> PoleSet:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return PoleSet(tuple(TWO_PI * k / n for k in range(1, n + 1)))
+    # 2 pi k / n can land an ulp off the real axis; 0 and pi are exact
+    return PoleSet(tuple(0.0 if k == n else math.pi if 2 * k == n else TWO_PI * k / n
+                         for k in range(1, n + 1)))
 
 
 def canonical_angles(angles: Sequence[float]) -> Tuple[float, ...]:
@@ -120,7 +122,8 @@ def optimize(
     objective the first angle is pinned to gauge_angle; the reported
     minimum must not depend on that choice beyond search tolerance.
     The reported values are re-evaluated at FINAL_TOL, and one that
-    misses it raises ToleranceNotMet.
+    misses it raises ToleranceNotMet whose record holds the search:
+    its best value at the search tolerance, and NaN reference and gap.
     """
     if seeds < 1:
         raise DomainError(f"seeds must be >= 1, got {seeds}")
@@ -154,19 +157,27 @@ def optimize(
         return value
 
     def finish(exhausted: bool) -> StudyRecord:
-        final = _evaluate(obj, best[1], FINAL_TOL)
-        reference = _evaluate(obj, equally_spaced(n).angles, FINAL_TOL)
         record = StudyRecord(
             n=n,
             objective=obj.label(),
-            best_value=final,
+            best_value=best[0],
             best_angles=canonical_angles(best[1]),
-            reference_value=reference,
-            gap=final - reference,
+            reference_value=math.nan,
+            gap=math.nan,
             seeds=seeds,
             evaluations=state["evals"],
             wall_time=time.perf_counter() - start,
             bound_violations=state["violations"],
+        )
+        try:
+            final = _evaluate(obj, best[1], FINAL_TOL)
+            reference = _evaluate(obj, equally_spaced(n).angles, FINAL_TOL)
+        except ToleranceNotMet as exc:
+            exc.record = record
+            raise
+        record = replace(
+            record, best_value=final, reference_value=reference, gap=final - reference,
+            wall_time=time.perf_counter() - start,
         )
         if exhausted:
             raise BudgetExhausted(
@@ -175,9 +186,8 @@ def optimize(
             )
         return record
 
-    # The last equally spaced angle is 2*pi, which normalises to 0: under
-    # the gauge it is the pinned angle, so the free angles are the rest,
-    # turned with the gauge.
+    # The last equally spaced angle is 0: under the gauge it is the
+    # pinned angle, so the free angles are the rest, turned with the gauge.
     eq = equally_spaced(n).angles
     x_eq = np.array(eq[:-1]) + gauge_angle if gauge else np.array(eq)
     per_seed = budget // seeds

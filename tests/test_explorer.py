@@ -15,6 +15,7 @@ import pytest
 from logderiv import (
     BudgetExhausted,
     DomainError,
+    MeanSpec,
     Objective,
     QuadratureResult,
     StudyRecord,
@@ -22,6 +23,7 @@ from logderiv import (
     angles_sidecar,
     canonical_angles,
     equally_spaced,
+    lp_mean,
     optimize,
     sharpness_table,
     study_csv,
@@ -56,6 +58,19 @@ def test_equally_spaced_examples():
     )
     with pytest.raises(DomainError):
         equally_spaced(0)
+
+
+def test_equally_spaced_is_exact_on_the_real_axis():
+    # the poles meant for 0 and pi are exact; the others keep the bits of
+    # 2 pi k / n
+    for n in range(1, 65):
+        angles = equally_spaced(n).angles
+        assert angles[-1] == 0.0
+        for k in range(1, n):
+            assert angles[k - 1] == (math.pi if 2 * k == n else TWO_PI * k / n)
+    # with the pole an ulp off the real axis, this mean raised instead
+    # of diverging
+    assert lp_mean(equally_spaced(11), MeanSpec(p=1.0)).divergent
 
 
 def test_objective_validation():
@@ -269,9 +284,16 @@ def test_unconverged_final_value_raises(monkeypatch):
     tolerances = []
     monkeypatch.setattr(explorer, "area_integral", fake_area_integral(tolerances))
     obj = Objective(AREA, tolerance=1e-4)
-    with pytest.raises(ToleranceNotMet):
+    with pytest.raises(ToleranceNotMet) as excinfo:
         optimize(3, obj, seeds=1, budget=100, seed=0)
-    assert tolerances.count(1e-4) > 1
+    # the error keeps the search's record
+    record = excinfo.value.record
+    assert record.evaluations == tolerances.count(1e-4) > 1
+    assert len(record.best_angles) == 3
+    assert record.best_value == pytest.approx(
+        5.0 + sum(math.cos(t) ** 2 for t in record.best_angles), rel=1e-12
+    )
+    assert math.isnan(record.reference_value) and math.isnan(record.gap)
     assert tolerances[-1] == explorer.FINAL_TOL
     with pytest.raises(ToleranceNotMet):
         optimize(4, obj, seeds=60, budget=100, seed=0)

@@ -45,6 +45,14 @@ REAL_POLE_P09 = 10.717734625362931  # real pole, p=0.9: 2^0.1/0.1
 MC_AREA = {1: 3.9964230362484283, 2: 5.129607655614626, 3: 5.6831865998292965}
 # nested scipy QUADPACK on the angular reduction, n=2 equally spaced
 SCIPY_AREA_N2 = 5.1289199558
+# The radial-slice disk integral that the per-pole pieces replaced, at
+# rel_tol 1e-9, on default_rng([31, i]).uniform(0, 2 pi, n) with
+# n = 2 + i % 5 for i = 0..9
+RADIAL_SLICE_AREAS = (
+    6.581367091454499, 8.171045896965001, 12.927145454116621, 10.326844421566298,
+    15.313508218395793, 5.57998640277373, 11.286728246454286, 9.82920532870537,
+    10.647719571480941, 12.491803313756414,
+)
 
 
 def elliptic_area(n):
@@ -221,6 +229,27 @@ def test_area_integral_single_pole_is_four():
     r = area_integral(PoleSet((0.0,)), rel_tol=1e-7)
     assert not r.divergent
     assert r.value == pytest.approx(4.0, rel=5e-7)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_area_integral_k_fold_pole_is_4k(k):
+    # every piece is one copy of the pole, where Phi = 1
+    r = area_integral(PoleSet((2.5,) * k), rel_tol=1e-6)
+    assert r.value == pytest.approx(4.0 * k, rel=1e-13)
+
+
+def test_area_integral_matches_radial_slices_on_random_sets():
+    for i, ref in enumerate(RADIAL_SLICE_AREAS):
+        angles = np.random.default_rng([31, i]).uniform(0.0, TWO_PI, 2 + i % 5)
+        r = area_integral(PoleSet(tuple(angles)), rel_tol=1e-6)
+        assert r.value == pytest.approx(ref, rel=1e-6)
+
+
+def test_area_integral_converges_on_random_n16():
+    # the radial slices ran out of panels here
+    angles = np.random.default_rng(16).uniform(0.0, TWO_PI, 16)
+    r = area_integral(PoleSet(tuple(angles)), rel_tol=1e-6)
+    assert r.error_estimate <= 1e-6 * r.value
 
 
 def test_area_integral_rotation_invariant():
