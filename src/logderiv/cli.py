@@ -80,15 +80,14 @@ def _quad_dict(r) -> dict:
 
 def cmd_verify(args) -> int:
     poles = PoleSet.from_json(_read_file(args.poles))
-    rel_tol = args.tol if args.tol else 1e-8
-    report = check_lp_lower_bound(poles, args.p, rel_tol=rel_tol)
+    report = check_lp_lower_bound(poles, args.p, rel_tol=args.tol)
     conc = window_concentration(poles, args.delta)
     ok = report.ok and conc["ok"]
     if args.format == "csv":
         lines = [
             "kind," + "poles,n,p,weighted,value,error,divergent,panels",
-            "mean," + mean_csv_row(poles, MeanSpec(p=args.p, weighted=False, rel_tol=rel_tol), report.unweighted),
-            "mean," + mean_csv_row(poles, MeanSpec(p=args.p, weighted=True, rel_tol=rel_tol), report.weighted),
+            "mean," + mean_csv_row(poles, MeanSpec(p=args.p, weighted=False, rel_tol=args.tol), report.unweighted),
+            "mean," + mean_csv_row(poles, MeanSpec(p=args.p, weighted=True, rel_tol=args.tol), report.weighted),
             f"level,{poles_digest(poles)},{poles.n},{args.delta},,"
             f"{conc['intersection'].measure!r},{conc['lower_bound']!r},,{int(conc['ok'])}",
         ]
@@ -247,8 +246,8 @@ def cmd_norms(args) -> int:
 
 def cmd_explore(args) -> int:
     kind = {"area": AREA, "mean": MEAN, "weighted-mean": WEIGHTED_MEAN}[args.objective]
-    p = None if kind == AREA else (args.p if args.p else 1.0)
-    obj = Objective(kind=kind, p=p, tolerance=args.tol if args.tol else 1e-6)
+    p = 1.0 if args.p is None and kind != AREA else args.p
+    obj = Objective(kind=kind, p=p, tolerance=args.tol)
     record = optimize(args.n, obj, seeds=args.seeds, budget=args.budget, seed=args.seed)
     sidecar = angles_sidecar([record])
     if args.format == "csv":
@@ -299,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="p-mean floors and level concentration")
     common(sp, poles=True, delta=0.25, p=1.0)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=float, default=1e-8)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("witness", help="build and audit a witness certificate")
@@ -333,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seeds", type=int, default=8)
     sp.add_argument("--budget", type=int, default=2000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--timing", action="store_true")
     sp.set_defaults(fn=cmd_explore)
 

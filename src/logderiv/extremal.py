@@ -71,9 +71,9 @@ def _kernel_integral(exponent: float, p: float, rel_tol: float) -> float:
         w = _TAIL
         tail = w ** (1.0 + exponent) / (1.0 + exponent)
         tail -= 0.5 * p * w ** (3.0 + exponent) / (3.0 + exponent)
-        _, a, b = _graded_panels(w, 1.0, [], [0.0], [0.5], [0.5 * w], [+1])
+        a, b = _graded_panels(w, 1.0, [], [(0.0, 0.5, 0.5 * w, +1)])
         return _integrate(f, a, b, rel_tol, 50_000).value + tail
-    _, a, b = _graded_panels(0.0, 1.0, [0.5], [], [], [], [])
+    a, b = _graded_panels(0.0, 1.0, [0.5])
     return _integrate(f, a, b, rel_tol, 50_000).value
 
 

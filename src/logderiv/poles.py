@@ -39,6 +39,8 @@ SNAP_TOL = 1e-14
 
 
 def _normalize_angle(theta: float) -> float:
+    if not math.isfinite(theta):
+        raise DomainError(f"non-finite angle {theta}")
     t = math.fmod(theta, TWO_PI)
     if t < 0.0:
         t += TWO_PI
@@ -62,9 +64,6 @@ class PoleSet:
         if len(self.angles) < 1:
             raise DomainError("a pole set needs at least one pole")
         norm = tuple(_normalize_angle(float(t)) for t in self.angles)
-        for t in norm:
-            if not math.isfinite(t):
-                raise DomainError(f"non-finite angle {t}")
         object.__setattr__(self, "angles", norm)
 
     @property

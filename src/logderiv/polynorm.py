@@ -10,6 +10,7 @@ and the two-sided positivity of {|p'| >= delta n |p|}.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -37,10 +38,11 @@ class DiskPolynomial:
         object.__setattr__(self, "leading", complex(self.leading))
         if len(zs) < 1:
             raise DomainError("need at least one zero")
-        if self.leading == 0:
-            raise DomainError("leading coefficient must be nonzero")
+        if self.leading == 0 or not cmath.isfinite(self.leading):
+            raise DomainError(f"leading coefficient {self.leading} is not finite and nonzero")
         for z in zs:
-            if abs(z) > 1.0 + _DISK_TOL:
+            # a NaN zero fails this test too
+            if not abs(z) <= 1.0 + _DISK_TOL:
                 raise DomainError(f"zero {z} lies outside the closed unit disk")
 
     @property
@@ -74,12 +76,14 @@ class DiskPolynomial:
 
     @staticmethod
     def from_json(text: str) -> "DiskPolynomial":
-        d = json.loads(text)
-        lead = d.get("leading", [1.0, 0.0])
-        return DiskPolynomial(
-            zeros=tuple(complex(a, b) for a, b in d["zeros"]),
-            leading=complex(lead[0], lead[1]),
-        )
+        try:
+            d = json.loads(text)
+            zeros = tuple(complex(a, b) for a, b in d["zeros"])
+            lead = d.get("leading", [1.0, 0.0])
+            leading = complex(lead[0], lead[1])
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"malformed polynomial document: {exc}") from exc
+        return DiskPolynomial(zeros=zeros, leading=leading)
 
 
 @dataclass(frozen=True)

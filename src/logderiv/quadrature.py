@@ -37,17 +37,18 @@ O(n) and there are n pieces: n = 64 takes about 80 s on a 2-core Xeon.
 
 The panel layer is vectorized and bounded in memory:
 
-- Panels are built for many rows at once, ladder level j as w 2^-j,
-  which is exact, so every cut is the float that repeated halving
-  gives.  Only levels still above their min width are built, and rows
-  are processed in chunks.
+- lp_mean and the extremal closed forms start from one row of panels
+  with every ladder built at once: level j is w 2^-j, which is exact,
+  so every cut is the float that repeated halving gives.  Only levels
+  still above their min width are built.  The disk's rows in phi are
+  the sorted rows of its break matrix.
 - The integrands add their poles one slab at a time, in the pairwise
   order that ndarray.sum(axis=-1) uses for complex values, so no
   (panels, 15, n) array is built; lp_mean's sums keep numpy's bits.
   Each slab is a whole-array operation, where numpy's reduction over
   the short pole axis made one inner-loop call per node.
-- The engine calls its kernel on chunks of a fixed size, so lp_mean
-  runs in bounded memory (tested at n = 1024).
+- The engine calls its kernel on chunks of _CHUNK_PANELS panels, so
+  lp_mean runs in bounded memory (tested at n = 1024).
 """
 
 from __future__ import annotations
@@ -55,13 +56,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from .bounds import mean_lower_constant
 from .errors import DomainError, ToleranceNotMet
-from .poles import PoleSet
+from .poles import PoleSet, poles_digest
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule
 # (Gauss nodes are the odd-indexed entries).
@@ -88,17 +89,13 @@ _WG = np.array([
 GRADE_MIN_WIDTH = 1e-13
 _TAIL_WINDOW = 1e-8
 
-# Memory bounds of the panel layer.  An integrand holds at most about
-# _LIVE_SLABS (panels, 15) slabs at once, whatever n is, and every
-# evaluation runs in chunks of at most _CHUNK_ELEMENTS slab elements.
-# Chunks of 2^17 were at least as fast as chunks of 2^15, 2^16 or 2^18,
-# and as single-shot evaluations up to 2^20 elements, on the lp_means
-# of n <= 20, n = 64 and 256 and on the radial kernel, with the fewest
-# page faults.  Ladders are built for at most _LADDER_ELEMENTS (row,
-# ladder) pairs at a time.
-_LIVE_SLABS = 8
-_CHUNK_ELEMENTS = 1 << 17
-_LADDER_ELEMENTS = 1 << 16
+# The engine's kernel calls get at most _CHUNK_PANELS panels.  A pole sum
+# holds at most 5 + log2(n / 64) terms at once (5 up to n = 64, see
+# _pole_sum): (15, panels) slabs for lp_mean, three each for the rays.  1092
+# panels were at least as fast as a quarter, half or twice that, and as
+# single-shot calls up to 8 times that, with the fewest page faults (on
+# lp_means at n <= 20, 64 and 256 and the earlier radial kernel).
+_CHUNK_PANELS = 1092
 
 # Panel budgets of area_integral: per piece in phi, and per batch of rays.
 _AREA_PANELS_PER_PIECE = 1000
@@ -133,70 +130,33 @@ class QuadratureResult:
 
 
 def _graded_panels(
-    lo: float,
-    hi: float,
-    breaks: Sequence[float],
-    centers,
-    halfwidths,
-    min_widths,
-    sides,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Panels (row, a, b) between cut points, built for many rows at once.
+    lo: float, hi: float, breaks: Sequence[float], ladders=()
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Panels (a, b) of one row, left to right, between cut points.
 
-    Every row is cut at lo, hi, the breaks inside (lo, hi), and one
-    geometric ladder per column toward each center c: the points
-    c -+ w 2^-j for every level j with w 2^-j above the ladder's min
-    width.  sides is -1 for a one-sided ladder below the center, +1
-    above, 0 for both.  The ladder arrays broadcast to one (rows,
-    ladders) shape; 1-D arrays are one row.  Within a row, cuts closer
-    than 4e-16 to the previous one are dropped, and panels come out in
-    row order, left to right.
+    The row is cut at lo, hi, the breaks inside (lo, hi), and one
+    geometric ladder per (c, w, min_width, side) toward its center c:
+    the points c -+ w 2^-j for every level j with w 2^-j above
+    min_width.  side is -1 for a one-sided ladder below the center, +1
+    above, 0 for both.  Cuts closer than 4e-16 to the previous one are
+    dropped.
     """
-    c, w, mw, s = np.broadcast_arrays(
-        *(np.atleast_2d(np.asarray(v, dtype=float))
-          for v in (centers, halfwidths, min_widths, sides))
-    )
-    inner = [float(b) for b in breaks if lo < b < hi]
-    step = max(1, _LADDER_ELEMENTS // max(c.shape[1], 1))
-    parts = [
-        _graded_rows(lo, hi, inner, c[r : r + step], w[r : r + step],
-                     mw[r : r + step], s[r : r + step], r)
-        for r in range(0, c.shape[0], step)
-    ]
-    return tuple(np.concatenate(col) for col in zip(*parts))
-
-
-def _graded_rows(lo, hi, inner, c, w, mw, s, first_row):
-    rows = np.arange(first_row, first_row + c.shape[0])
-    grid = np.broadcast_to(rows[:, None], c.shape)
-    fixed = np.array([lo, hi, *inner])
-    inside = (lo < c) & (c < hi)
-    pr = [np.repeat(rows, len(fixed)), grid[inside]]
-    pv = [np.tile(fixed, len(rows)), c[inside]]
+    c, w, mw, s = np.array(ladders, dtype=float).reshape(-1, 4).T
+    cuts = [np.array([lo, hi, *(b for b in breaks if lo < b < hi)]), c[(lo < c) & (c < hi)]]
     # Level j is w 2^-j: scaling by a power of two is exact, so each cut
     # is the float that repeated halving gives.  Only ladders with a
     # level above their min width are expanded, and only up to the
     # deepest such level.
-    live = (w > mw).ravel()
-    lc, lw, lmw, ls, lr = (v.ravel()[live, None] for v in (c, w, mw, s, grid))
-    if lw.size:
-        depth = int(np.ceil(np.log2((lw / lmw).max()))) + 2
-        d = np.ldexp(lw, -np.arange(depth))
-        level = d > lmw
+    live = w > mw
+    if live.any():
+        c, w, mw, s = (v[live, None] for v in (c, w, mw, s))
+        d = np.ldexp(w, -np.arange(int(np.ceil(np.log2((w / mw).max()))) + 2))
         for sign in (-1.0, 1.0):
-            q = lc + sign * d
-            ok = level & (ls != -sign) & (lo < q) & (q < hi)
-            pr.append(np.broadcast_to(lr, q.shape)[ok])
-            pv.append(q[ok])
-    v = np.concatenate(pv)
-    r = np.concatenate(pr)
-    order = np.lexsort((v, r))
-    v, r = v[order], r[order]
-    keep = np.ones(len(v), dtype=bool)
-    keep[1:] = (r[1:] != r[:-1]) | (np.diff(v) > 4e-16)
-    v, r = v[keep], r[keep]
-    same = r[1:] == r[:-1]
-    return r[1:][same], v[:-1][same], v[1:][same]
+            q = c + sign * d
+            cuts.append(q[(d > mw) & (s != -sign) & (lo < q) & (q < hi)])
+    v = np.sort(np.concatenate(cuts))
+    v = v[np.concatenate(([True], np.diff(v) > 4e-16))]
+    return v[:-1], v[1:]
 
 
 def _pole_sum(term: Callable[[int], np.ndarray], c: int) -> np.ndarray:
@@ -286,15 +246,13 @@ def _adaptive(
     with the sums over all rows as its result, once max_panels is passed
     or no selected panel is wider than 1e-15.
     """
-    step = max(1, _CHUNK_ELEMENTS // (15 * _LIVE_SLABS))
-
     def evaluate(r, a, b):
         # every panel's value depends on that panel alone, so chunking
         # changes no bit of the result
-        if len(a) <= step:
+        if len(a) <= _CHUNK_PANELS:
             return kernel(r, a, b)
-        parts = [kernel(r[i : i + step], a[i : i + step], b[i : i + step])
-                 for i in range(0, len(a), step)]
+        parts = [kernel(*(v[i : i + _CHUNK_PANELS] for v in (r, a, b)))
+                 for i in range(0, len(a), _CHUNK_PANELS)]
         return tuple(np.concatenate(col) for col in zip(*parts))
 
     k, e = evaluate(rows, a, b)
@@ -388,7 +346,12 @@ def _mean_values(pts: np.ndarray, p: float, weighted: bool, x: np.ndarray) -> np
 
 
 def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
-    """integral over [-1,1] of |g|^p, optionally weighted by |x|^p."""
+    """integral over [-1,1] of |g|^p, optionally weighted by |x|^p.
+
+    Below p = 1, the rounding floor 1e-16 sum_k |x - z_k|^-1 of |g| where
+    the poles cancel can put the value beyond rel_tol unseen by the error
+    estimate: sharp_poles(64) at p = 0.5 is 2.2e-7 off at rel_tol 1e-8.
+    """
     angles = poles.angles
     pts = poles.points
     has_plus = any(t == 0.0 for t in angles)
@@ -397,12 +360,8 @@ def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
         return QuadratureResult(math.inf, 0.0, True, 0, 0)
 
     p = spec.p
-    ladders: List[Tuple[float, float, float, int]] = []
-    for t in angles:
-        if t == 0.0 or t == math.pi:
-            continue
-        c, y = math.cos(t), abs(math.sin(t))
-        ladders.append((c, min(y, 2.0), GRADE_MIN_WIDTH, 0))
+    ladders = [(math.cos(t), min(abs(math.sin(t)), 2.0), GRADE_MIN_WIDTH, 0)
+               for t in angles if t != 0.0 and t != math.pi]
 
     lo, hi = -1.0, 1.0
     tail_value = 0.0
@@ -426,7 +385,7 @@ def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
             lo = -1.0 + w
             ladders.append((lo, 0.5, w / 2.0, +1))
 
-    _, a, b = _graded_panels(lo, hi, [0.0], *np.array(ladders).reshape(-1, 4).T)
+    a, b = _graded_panels(lo, hi, [0.0], ladders)
     integrand = functools.partial(_mean_values, pts, p, spec.weighted)
     core = _integrate(integrand, a, b, spec.rel_tol, spec.max_panels)
     return QuadratureResult(
@@ -504,9 +463,14 @@ def area_integral(poles: PoleSet, rel_tol: float = 1e-6) -> QuadratureResult:
         evals_total += evals
         return _kronrod(cos2 * vals.reshape(phi.shape), h)
 
-    # theta_j = theta_k + 2 phi + pi on the boundary
+    # Row k is cut where theta_j = theta_k + 2 phi + pi on the boundary:
+    # its own pole at -pi/2, the others in [-pi/2, pi/2].
     breaks = 0.5 * np.mod(thetas[None, :] - thetas[:, None], 2.0 * math.pi) - 0.5 * math.pi
-    rows, a, b = _graded_panels(-0.5 * math.pi, 0.5 * math.pi, [], breaks, 0.0, 0.0, 0)
+    cuts = np.sort(np.c_[breaks, np.full(n, 0.5 * math.pi)], axis=1)
+    keep = np.c_[np.ones(n, dtype=bool), np.diff(cuts, axis=1) > 4e-16]
+    v = cuts[keep]
+    inner = v[:-1] < v[1:]  # false where the next row starts again at -pi/2
+    rows, a, b = np.repeat(np.arange(n), keep.sum(axis=1) - 1), v[:-1][inner], v[1:][inner]
     val, err, panels, _ = _adaptive(
         piece_kernel, rows, a, b, n, rel_tol, _AREA_PANELS_PER_PIECE * n
     )
@@ -560,8 +524,6 @@ def check_lp_lower_bound(poles: PoleSet, p: float, rel_tol: float = 1e-8) -> Mea
 
 def mean_csv_row(poles: PoleSet, spec: MeanSpec, result: QuadratureResult) -> str:
     """poles_hash, n, p, weighted, value, error, divergent, panels."""
-    from .poles import poles_digest
-
     return ",".join([
         poles_digest(poles),
         str(poles.n),

@@ -74,6 +74,49 @@ def test_invalid_parameter_exits_2(tmp_path):
     assert "invalid input" in proc.stderr
 
 
+# Input files that once escaped as a traceback (exit 1) or, for the NaN
+# zero, were reported as a BOUND VIOLATION.
+BAD_INPUT_FILES = [
+    ("verify", '{"angles": [Infinity]}'),
+    ("measure", '{"angles": [1.0, -Infinity]}'),
+    ("norms", "{}"),
+    ("norms", '{"zeros": [[0.5, 0.1, 0.2]]}'),
+    ("norms", '{"zeros": [[0.5, 0.1]], "leading": 2.0}'),
+    ("norms", '{"zeros": [[NaN, 0.0]]}'),
+    ("norms", '{"zeros": [[0.5, 0.1]], "leading": [Infinity, 0.0]}'),
+]
+
+
+@pytest.mark.parametrize("command,text", BAD_INPUT_FILES)
+def test_bad_input_file_exits_2(command, text, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    proc = run_cli(command, "--poles", str(bad))
+    assert proc.returncode == 2, proc.stderr
+    assert "invalid input" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# Values that were once replaced by a default (a given 0) or dropped
+# (--p for the area objective) without complaint.
+BAD_FLAG_VALUES = [
+    ("verify", ["--tol", "0"]),
+    ("explore", ["--objective", "mean", "--p", "0"]),
+    ("explore", ["--objective", "weighted-mean", "--p", "0"]),
+    ("explore", ["--objective", "area", "--p", "3"]),
+    ("explore", ["--objective", "mean", "--tol", "0"]),
+]
+
+
+@pytest.mark.parametrize("command,flags", BAD_FLAG_VALUES)
+def test_bad_flag_value_exits_2(command, flags, tmp_path, capsys):
+    argv = [command, *_required_args(command, tmp_path), *flags]
+    if command == "explore":
+        argv += ["--seeds", "1", "--budget", "100"]
+    assert main(argv) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_witness_writes_verified_certificate(tmp_path):
     poles = write_poles(tmp_path / "p.json", [math.pi / 2, math.pi / 2])
     out = tmp_path / "cert.json"

@@ -1,11 +1,11 @@
-"""The batched panel layer against the scalar code it replaced.
+"""The vectorized panel layer against the scalar code it replaced.
 
-The ladder builder, the retired rows, the chunked evaluation and the
-pole-slab sums change only time and memory: cuts, panel counts,
-function evaluation counts and values must be the same bits as before.
-The scalar ladder builder, the per-row ladder loop, the refinement loop
-without retired rows and the integrands that summed a (panels, 15, n)
-array are kept below as the reference.  Whole integrals are checked
+The one-row ladder builder, the disk's rows in phi, the retired rows,
+the chunked evaluation and the pole-slab sums change only time and
+memory: cuts, panel counts, function evaluation counts and values must
+be the same bits as before.  The scalar ladder builder, the refinement
+loop without retired rows and the integrands that summed a (panels, 15,
+n) array are kept below as the reference.  Whole integrals are checked
 against their oracles and for the same bits on a rerun and under small
 chunks.
 """
@@ -57,29 +57,6 @@ def frozen_graded_cuts(lo, hi, breaks, ladders):
     arr = np.array(sorted(pts))
     keep = np.concatenate(([True], np.diff(arr) > 4e-16))
     return arr[keep]
-
-
-def frozen_radial_panels(u):
-    """The per-node radial loop, verbatim."""
-    tidx_list, a_list, b_list = [], [], []
-    for i in range(u.shape[0]):
-        ladders = []
-        for c, y in zip(u[i].real, np.abs(u[i].imag)):
-            ladders.append((c, min(y, 2.0), max(1e-10, y / 8.0), 0))
-        cuts = frozen_graded_cuts(-1.0, 1.0, [0.0], ladders)
-        tidx_list.append(np.full(len(cuts) - 1, i))
-        a_list.append(cuts[:-1])
-        b_list.append(cuts[1:])
-    return np.concatenate(tidx_list), np.concatenate(a_list), np.concatenate(b_list)
-
-
-def radial_panels(u):
-    """_graded_panels with one row per pole-direction vector u: a
-    two-sided ladder toward each projection Re u at height |Im u|."""
-    y = np.abs(u.imag)
-    return _graded_panels(
-        -1.0, 1.0, [0.0], u.real, np.minimum(y, 2.0), np.maximum(1e-10, y / 8.0), 0
-    )
 
 
 def frozen_refinement(eval_panels, tidx, pa, pb, m, rel_tol, panel_cap, max_rounds=200):
@@ -158,10 +135,6 @@ def frozen_mean_values(pts, p, weighted, x):
     return (g,)
 
 
-def one_row(lo, hi, breaks, ladders):
-    return _graded_panels(lo, hi, breaks, *np.array(ladders).reshape(-1, 4).T)
-
-
 def assert_panels_equal(got, want):
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -223,11 +196,17 @@ RADIAL_CASES = [
 
 @pytest.mark.parametrize("seed,n,kind", RADIAL_CASES)
 def test_radial_panels_match_per_node_loop(seed, n, kind):
+    # the ladders of the earlier radial slices, one row per node: two-
+    # sided, toward each projection Re u at height |Im u|, with min
+    # widths from 1e-10 up
     rng = np.random.default_rng([20, seed])
     thetas = case_thetas(rng, n, kind)
     ts = case_nodes(rng, thetas, 12)
-    u = np.exp(1j * (thetas[None, :] - ts[:, None]))
-    assert_panels_equal(radial_panels(u), frozen_radial_panels(u))
+    for u in np.exp(1j * (thetas[None, :] - ts[:, None])):
+        y = np.abs(u.imag)
+        ladders = [(c, min(v, 2.0), max(1e-10, v / 8.0), 0) for c, v in zip(u.real, y)]
+        cuts = frozen_graded_cuts(-1.0, 1.0, [0.0], ladders)
+        assert_panels_equal(_graded_panels(-1.0, 1.0, [0.0], ladders), (cuts[:-1], cuts[1:]))
 
 
 def outcome(batch):
@@ -343,8 +322,8 @@ def test_mean_values_match_frozen_integrand(n):
 
 
 def test_graded_panels_match_scalar_builder_on_seeded_ladders():
-    # 300 one-row cases in the shapes lp_mean, area_integral and the
-    # extremal kernel build: two-sided ladders down to GRADE_MIN_WIDTH,
+    # 300 one-row cases in the shapes lp_mean and the extremal kernel
+    # build: two-sided ladders down to GRADE_MIN_WIDTH,
     # one-sided tail ladders, clustered and coincident centers.
     rng = np.random.default_rng(21)
     for case in range(300):
@@ -367,31 +346,59 @@ def test_graded_panels_match_scalar_builder_on_seeded_ladders():
             ]
         breaks = [0.0, *rng.uniform(lo, hi, case % 3)]
         cuts = frozen_graded_cuts(lo, hi, breaks, ladders)
-        row, a, b = one_row(lo, hi, breaks, ladders)
-        assert not row.any()
-        assert np.array_equal(a, cuts[:-1])
-        assert np.array_equal(b, cuts[1:])
+        assert_panels_equal(_graded_panels(lo, hi, breaks, ladders), (cuts[:-1], cuts[1:]))
 
 
 def test_graded_panels_single_row_edge_cases():
     # no ladders; a one-sided ladder whose center is outside (lo, hi)
     cuts = frozen_graded_cuts(0.0, 1.0, [0.5], [])
-    assert_panels_equal(one_row(0.0, 1.0, [0.5], [])[1:], (cuts[:-1], cuts[1:]))
+    assert_panels_equal(_graded_panels(0.0, 1.0, [0.5]), (cuts[:-1], cuts[1:]))
     w = 1e-8
     ladders = [(0.0, 0.5, 0.5 * w, +1)]
     cuts = frozen_graded_cuts(w, 1.0, [], ladders)
-    assert_panels_equal(one_row(w, 1.0, [], ladders)[1:], (cuts[:-1], cuts[1:]))
+    assert_panels_equal(_graded_panels(w, 1.0, [], ladders), (cuts[:-1], cuts[1:]))
 
 
-def test_graded_panels_rows_are_chunk_independent(monkeypatch):
+class Captured(Exception):
+    pass
+
+
+def phi_panels(monkeypatch, poles):
+    """The panels (rows, a, b) that area_integral hands to its outer
+    refinement in phi."""
     import logderiv.quadrature as quadrature
 
-    rng = np.random.default_rng(22)
-    thetas = rng.uniform(0.0, TWO_PI, 9)
-    u = np.exp(1j * (thetas[None, :] - rng.uniform(0.0, math.pi, 40)[:, None]))
-    whole = radial_panels(u)
-    monkeypatch.setattr(quadrature, "_LADDER_ELEMENTS", 20)
-    assert_panels_equal(radial_panels(u), whole)
+    def capture(kernel, rows, a, b, *limits):
+        raise Captured(rows, a, b)
+
+    monkeypatch.setattr(quadrature, "_adaptive", capture)
+    with pytest.raises(Captured) as exc:
+        area_integral(poles)
+    return exc.value.args
+
+
+def phi_thetas(rng, n, kind):
+    if kind == "equal":
+        return np.array(equally_spaced(n).angles)
+    if kind == "kfold":
+        return np.repeat(rng.uniform(0.0, TWO_PI, (n + 3) // 4), 4)[:n]
+    return case_thetas(rng, n, kind)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "equal", "kfold", 1e-13, 4e-16])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 33, 64])
+def test_area_phi_rows_match_scalar_builder(monkeypatch, n, kind):
+    # row k of piece k is cut where the boundary point z_k e^{i(2 phi +
+    # pi)} is another pole
+    rng = np.random.default_rng([28, n])
+    poles = PoleSet(tuple(phi_thetas(rng, n, kind)))
+    rows, a, b = phi_panels(monkeypatch, poles)
+    assert np.array_equal(rows, np.sort(rows))
+    thetas = np.array(poles.angles)
+    for k in range(poles.n):
+        breaks = 0.5 * np.mod(thetas - thetas[k], TWO_PI) - 0.5 * math.pi
+        cuts = frozen_graded_cuts(-0.5 * math.pi, 0.5 * math.pi, breaks, [])
+        assert_panels_equal((a[rows == k], b[rows == k]), (cuts[:-1], cuts[1:]))
 
 
 def test_chunked_evaluation_is_bit_identical(monkeypatch):
@@ -400,7 +407,7 @@ def test_chunked_evaluation_is_bit_identical(monkeypatch):
     poles = PoleSet(tuple(np.random.default_rng(23).uniform(0.0, TWO_PI, 40)))
     spec = MeanSpec(p=1.5, weighted=True)
     whole = lp_mean(poles, spec)
-    monkeypatch.setattr(quadrature, "_CHUNK_ELEMENTS", 1000)
+    monkeypatch.setattr(quadrature, "_CHUNK_PANELS", 8)
     assert lp_mean(poles, spec) == whole
 
 
@@ -409,8 +416,7 @@ def same_bits_on_rerun_and_in_chunks(monkeypatch, integral):
 
     first = integral()
     assert repr(integral()) == repr(first)
-    # 8 panels per kernel call
-    monkeypatch.setattr(quadrature, "_CHUNK_ELEMENTS", 1000)
+    monkeypatch.setattr(quadrature, "_CHUNK_PANELS", 8)
     assert repr(integral()) == repr(first)
     return first
 
