@@ -221,6 +221,9 @@ def cmd_norms(args) -> int:
     if args.poles:
         polys = [DiskPolynomial.from_json(_read_file(args.poles))]
     else:
+        # an empty corpus would pass without checking anything
+        if args.n < 1:
+            raise DomainError(f"corpus size --n must be >= 1, got {args.n}")
         rng = np.random.default_rng(args.seed)
         polys = [
             random_disk_polynomial(rng, 1 + int(rng.integers(0, 8)))

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import minimize
 
-from .bounds import AREA_LOWER_BOUND, mean_lower_constant
+from .bounds import AREA_LOWER_BOUND, mean_lower_bound
 from .errors import BudgetExhausted, DomainError, ToleranceNotMet
 from .extremal import sharp_lp_mean, sharp_mean_constant
 from .poles import PoleSet
@@ -50,8 +50,8 @@ class Objective:
         if self.kind == AREA:
             if self.p is not None:
                 raise DomainError("the area objective takes no p")
-        elif self.p is None or not self.p > 0.0:
-            raise DomainError(f"p must be positive, got {self.p}")
+        elif self.p is None or not 0.0 < self.p < math.inf:
+            raise DomainError(f"p must be positive and finite, got {self.p}")
         if not 0.0 < self.tolerance <= 1e-2:
             raise DomainError(f"tolerance must lie in (0, 1e-2], got {self.tolerance}")
 
@@ -91,7 +91,7 @@ def canonical_angles(angles: Sequence[float]) -> Tuple[float, ...]:
 def _objective_floor(obj: Objective, n: int) -> float:
     if obj.kind == AREA:
         return AREA_LOWER_BOUND
-    return mean_lower_constant(obj.p) * n ** (obj.p - 1.0)
+    return mean_lower_bound(obj.p, n)
 
 
 def _evaluate(obj: Objective, angles: Sequence[float], rel_tol: float) -> float:
@@ -124,6 +124,8 @@ def optimize(
     The reported values are re-evaluated at FINAL_TOL, and one that
     misses it raises ToleranceNotMet whose record holds the search:
     its best value at the search tolerance, and NaN reference and gap.
+    A search in which no evaluation gave a number raises ToleranceNotMet
+    with no record.
     """
     if seeds < 1:
         raise DomainError(f"seeds must be >= 1, got {seeds}")
@@ -157,6 +159,8 @@ def optimize(
         return value
 
     def finish(exhausted: bool) -> StudyRecord:
+        if best[1] is None:  # every value was NaN or inf
+            raise ToleranceNotMet(f"no evaluation of the {obj.label()} objective gave a number")
         record = StudyRecord(
             n=n,
             objective=obj.label(),
@@ -219,9 +223,8 @@ def sharpness_table(
     benchmark family's envelope, plus a random-search minimum."""
     if not 1 <= n_max <= 16:
         raise DomainError(f"n_max must lie in 1..16, got {n_max}")
-    if not p > 0.0:
-        raise DomainError(f"p must be positive, got {p}")
-    c_lower = mean_lower_constant(p)
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"p must be positive and finite, got {p}")
     c_upper = sharp_mean_constant(p)
     rows = []
     for n in range(1, n_max + 1):
@@ -237,7 +240,7 @@ def sharpness_table(
         rows.append(
             {
                 "n": n,
-                "lower_bound": c_lower * n ** (p - 1.0),
+                "lower_bound": mean_lower_bound(p, n),
                 "family_value": sharp_lp_mean(n, p),
                 "upper_bound": c_upper * n ** (p - 1.0),
                 "searched_min": searched,

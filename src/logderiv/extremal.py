@@ -82,8 +82,8 @@ def sharp_lp_mean(n: int, p: float, rel_tol: float = 1e-10) -> float:
     reduction 2 n^(p-1) * integral of t^((1-1/n)(p-1)) (1+t^2)^(-p/2)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if not p > 0.0:
-        raise DomainError(f"p must be positive, got {p}")
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"p must be positive and finite, got {p}")
     exponent = (1.0 - 1.0 / n) * (p - 1.0)
     return 2.0 * n ** (p - 1.0) * _kernel_integral(exponent, p, rel_tol)
 
@@ -91,8 +91,8 @@ def sharp_lp_mean(n: int, p: float, rel_tol: float = 1e-10) -> float:
 def sharp_mean_constant(p: float, rel_tol: float = 1e-10) -> float:
     """Upper envelope constant: sharp_lp_mean(n, p) <= constant * n^(p-1)
     for every n, realized with exponent min(p-1, 0)."""
-    if not p > 0.0:
-        raise DomainError(f"p must be positive, got {p}")
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"p must be positive and finite, got {p}")
     return 2.0 * _kernel_integral(min(p - 1.0, 0.0), p, rel_tol)
 
 

@@ -11,9 +11,12 @@ largest.  Row sums are bincounts in array order, so a fixed panel tree
 always gives the same bits.
 
 Singularities of |g| sit above the projections cos(theta_k) at height
-|sin(theta_k)|; panels within that distance are pre-split geometrically
-(ratio 1/2, down to width 1e-13) so a narrow spike cannot slip between
-sample points and fake convergence.
+h_k = |sin(theta_k)|.  lp_mean pre-splits toward each projection
+geometrically, ratio 1/2 from width 2 down to h_k/8 (not below 1e-13),
+so a narrow spike cannot slip between sample points and fake
+convergence: below h_k/8 the 15-point rule resolves the spike, which is
+analytic within distance h_k, and the levels above h_k grade its
+shoulders.  That is ~log2(16/h_k) levels a side.
 
 A real pole makes the x-integrals diverge for p >= 1; that is detected
 structurally, never by overflow.  For p < 1 the endpoint singularity
@@ -60,7 +63,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import mean_lower_constant
+from .bounds import mean_lower_bound
 from .errors import DomainError, ToleranceNotMet
 from .poles import PoleSet, poles_digest
 
@@ -112,8 +115,8 @@ class MeanSpec:
     max_panels: int = 200_000
 
     def __post_init__(self):
-        if not self.p > 0.0:
-            raise DomainError(f"p must be positive, got {self.p}")
+        if not 0.0 < self.p < math.inf:
+            raise DomainError(f"p must be positive and finite, got {self.p}")
         if not 0.0 < self.rel_tol <= 1e-2:
             raise DomainError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
         if self.max_panels < 4:
@@ -360,7 +363,9 @@ def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
         return QuadratureResult(math.inf, 0.0, True, 0, 0)
 
     p = spec.p
-    ladders = [(math.cos(t), min(abs(math.sin(t)), 2.0), GRADE_MIN_WIDTH, 0)
+    # each off-axis pole's ladder: width 2 down to 1/8 of its height
+    # (see the module docstring)
+    ladders = [(math.cos(t), 2.0, max(GRADE_MIN_WIDTH, abs(math.sin(t)) / 8.0), 0)
                for t in angles if t != 0.0 and t != math.pi]
 
     lo, hi = -1.0, 1.0
@@ -505,7 +510,7 @@ def check_lp_lower_bound(poles: PoleSet, p: float, rel_tol: float = 1e-8) -> Mea
     """
     u = lp_mean(poles, MeanSpec(p=p, weighted=False, rel_tol=rel_tol))
     w = lp_mean(poles, MeanSpec(p=p, weighted=True, rel_tol=rel_tol))
-    bound = mean_lower_constant(p) * poles.n ** (p - 1.0)
+    bound = mean_lower_bound(p, poles.n)
     slack = 10.0 * rel_tol
     # lp_mean decides divergence from the poles and p alone, so u and w
     # diverge together.

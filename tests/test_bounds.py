@@ -13,6 +13,7 @@ from logderiv import (
     matched_delta,
     mean_lower_constant,
 )
+from logderiv.bounds import mean_lower_bound
 
 
 def test_integer_cases_are_exact():
@@ -39,9 +40,27 @@ def test_level_constant_domain():
 
 
 def test_mean_constant_domain():
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             mean_lower_constant(bad)
+        with pytest.raises(DomainError):
+            matched_delta(bad)
+
+
+@pytest.mark.parametrize("p", [100.0, 143.0, 144.0, 400.0, 1000.0])
+def test_mean_constant_and_floor_at_large_p(p):
+    # p^p overflows from p ~ 144 on; the log-space value must still be
+    # delta^p K(delta) at the matched delta, and the floor K n^(p-1)
+    # must be finite where it fits a float and inf where it does not
+    d = matched_delta(p)
+    log_c = p * math.log(d) + math.log(level_measure_constant(d))
+    assert mean_lower_constant(p) == pytest.approx(math.exp(log_c), rel=1e-12)
+    for n in (1, 2, 6, 30):
+        log_b = log_c + (p - 1.0) * math.log(n)
+        if log_b < 700.0:
+            assert mean_lower_bound(p, n) == pytest.approx(math.exp(log_b), rel=1e-12)
+        else:
+            assert mean_lower_bound(p, n) == math.inf
 
 
 def test_mean_constant_from_level_constant():

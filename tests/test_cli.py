@@ -105,6 +105,12 @@ BAD_FLAG_VALUES = [
     ("explore", ["--objective", "weighted-mean", "--p", "0"]),
     ("explore", ["--objective", "area", "--p", "3"]),
     ("explore", ["--objective", "mean", "--tol", "0"]),
+    # an infinite p got a NaN floor and read as a bound violation
+    ("verify", ["--p", "inf"]),
+    ("explore", ["--objective", "mean", "--p", "inf"]),
+    # an empty corpus checked nothing and passed
+    ("norms", ["--n", "0"]),
+    ("norms", ["--n", "-3"]),
 ]
 
 
@@ -115,6 +121,29 @@ def test_bad_flag_value_exits_2(command, flags, tmp_path, capsys):
         argv += ["--seeds", "1", "--budget", "100"]
     assert main(argv) == 2
     assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,code", [(2, 0), (6, 0), (30, 3)])
+def test_verify_large_p_answers_or_exits_3(n, code, tmp_path):
+    # p^p in the floor's constant was an OverflowError traceback; at
+    # n = 6 the floor's n^(p-1) overflows too, and at n = 30 so does
+    # |g|^p in the means, which is a numerical failure
+    poles = write_poles(tmp_path / "p.json", [0.3 + 2.0 * math.pi * k / n for k in range(n)])
+    proc = run_cli("verify", "--poles", poles, "--p", "400")
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        bound = json.loads(proc.stdout)["mean_bound"]["lower_bound"]
+        assert 0.0 < bound < math.inf
+
+
+def test_explore_mean_with_no_finite_value_exits_3():
+    # |g|^400 overflows in every evaluation, so the search has no best
+    # configuration; that was a TypeError traceback
+    proc = run_cli("explore", "--n", "2", "--objective", "mean", "--p", "400",
+                   "--seeds", "1", "--budget", "100")
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_witness_writes_verified_certificate(tmp_path):

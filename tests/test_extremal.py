@@ -105,6 +105,12 @@ def test_sharpness_bracketing():
             assert lower < value <= upper * (1.0 + 1e-12)
 
 
+def test_mean_domain_rejects_non_finite_p():
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            sharp_lp_mean(4, bad)
+
+
 def test_level_constant_and_domain():
     assert sharp_level_constant(0.2) == pytest.approx(math.log(4.0), rel=1e-15)
     for bad in (0.0, 0.5, 0.7, -0.1):

@@ -323,15 +323,15 @@ def test_mean_values_match_frozen_integrand(n):
 
 def test_graded_panels_match_scalar_builder_on_seeded_ladders():
     # 300 one-row cases in the shapes lp_mean and the extremal kernel
-    # build: two-sided ladders down to GRADE_MIN_WIDTH,
-    # one-sided tail ladders, clustered and coincident centers.
+    # build: two-sided ladders from width 2 down to 1/8 of the pole's
+    # height, one-sided tail ladders, clustered and coincident centers.
     rng = np.random.default_rng(21)
     for case in range(300):
         n = int(rng.integers(1, 65))
         thetas = case_thetas(rng, n, (("uniform", 0.0, 1e-12, 1e-9, math.pi))[case % 5])
         lo, hi = -1.0, 1.0
         ladders = [
-            (math.cos(t), min(abs(math.sin(t)), 2.0), GRADE_MIN_WIDTH, 0)
+            (math.cos(t), 2.0, max(GRADE_MIN_WIDTH, abs(math.sin(t)) / 8.0), 0)
             for t in thetas
         ]
         if case % 3:
@@ -463,3 +463,21 @@ def test_lp_mean_runs_at_n1024():
     assert not r.divergent
     assert math.isfinite(r.value) and r.value > 0.0
     assert r.error_estimate <= 1e-8 * r.value
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("kind", ["sharp", "random"])
+def test_lp_mean_panels_grow_linearly(n, kind):
+    # each pole's ladder has ~log2(16 / height) levels a side, and these
+    # sets need no refinement past them
+    if kind == "sharp":
+        poles = sharp_poles(n)
+    else:
+        poles = PoleSet(tuple(np.random.default_rng([7, n]).uniform(0.0, TWO_PI, n)))
+    assert lp_mean(poles, MeanSpec(p=1.0)).panels <= 16 * n
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_lp_mean_sharp_1024_matches_closed_form(p):
+    r = lp_mean(sharp_poles(1024), MeanSpec(p=p))
+    assert r.value == pytest.approx(sharp_lp_mean(1024, p), rel=1e-10)

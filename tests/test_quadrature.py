@@ -74,6 +74,9 @@ def single_pole_at_i():
 def test_spec_validation():
     with pytest.raises(DomainError):
         MeanSpec(p=0.0)
+    for p in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            MeanSpec(p=p)
     with pytest.raises(DomainError):
         MeanSpec(p=1.0, rel_tol=0.5)
     with pytest.raises(DomainError):
@@ -216,16 +219,43 @@ def test_near_real_pole_arctan_oracle():
     assert r.value == pytest.approx(ref, rel=1e-8)
 
 
+def single_pole_power_mean(theta, p):
+    """integral over [-1, 1] of ((x - c)^2 + s^2)^(-p/2), c + is = e^(i theta),
+    at p = 2 (arctan form) and p = 3."""
+    c, s = math.cos(theta), abs(math.sin(theta))
+    if p == 2.0:
+        return (math.atan((1.0 - c) / s) + math.atan((1.0 + c) / s)) / s
+    assert p == 3.0
+    return ((1.0 - c) / math.hypot(1.0 - c, s) + (1.0 + c) / math.hypot(1.0 + c, s)) / s**2
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize(
+    "theta", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, math.pi - 1e-6, math.pi - 1e-9, 1.0]
+)
+def test_single_pole_closed_form_at_every_height(theta, p):
+    # The spike's shoulders must be graded too: a ladder that only ran
+    # inward from cos(theta) -+ sin(theta) left the panel outside it too
+    # wide, and read 7.07e19 for 1e20 at theta = 1e-10, p = 3.
+    r = lp_mean(PoleSet((theta,)), MeanSpec(p=p))
+    assert r.value == pytest.approx(single_pole_power_mean(theta, p), rel=10 * 1e-8)
+
+
 def test_tolerance_not_met_carries_partial_result():
-    # a pole with sin(theta) = 1e-6 needs refinement past the initial
-    # graded cuts, so a 4-panel budget cannot reach 1e-8
+    # a pole at height 1e-12 needs refinement past the initial graded
+    # cuts at p = 3, so a 4-panel budget cannot reach 1e-8
+    poles = PoleSet((1e-12,))
     with pytest.raises(ToleranceNotMet) as exc:
-        lp_mean(PoleSet((1e-6,)), MeanSpec(p=2.0, rel_tol=1e-8, max_panels=4))
+        lp_mean(poles, MeanSpec(p=3.0, rel_tol=1e-8, max_panels=4))
     partial = exc.value.result
     assert isinstance(partial, QuadratureResult)
     assert partial.panels >= 4
     assert math.isfinite(partial.value)
     assert partial.error_estimate > 1e-8 * abs(partial.value)
+    # the budget is checked after the first evaluation, so the partial
+    # result holds exactly the initial cuts, and the premise above is
+    # that the default budget goes past them
+    assert lp_mean(poles, MeanSpec(p=3.0, rel_tol=1e-8)).panels > partial.panels
 
 
 def test_nan_error_is_not_convergence():
