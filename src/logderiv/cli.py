@@ -10,6 +10,7 @@ timing columns are zeroed unless --timing is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -279,6 +280,9 @@ def cmd_explore(args) -> int:
     return 1 if record.bound_violations else 0
 
 
+# Built once per process: parse_args returns a fresh Namespace each call,
+# and the handlers look up what they call at call time.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logderiv",
@@ -343,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (OSError, json.JSONDecodeError) as exc:

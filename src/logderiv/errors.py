@@ -22,7 +22,8 @@ class RootIsolationFailure(RuntimeError):
 
 
 class ToleranceNotMet(RuntimeError):
-    """Adaptive quadrature hit its panel budget before reaching tolerance.
+    """Adaptive quadrature did not reach its tolerance: the panel budget ran
+    out, or the integrand underflowed to 0 at every node.
 
     Carries the partial result in ``result``; a search that fails on it
     puts its partial record in ``record``.

@@ -354,6 +354,9 @@ def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
     Below p = 1, the rounding floor 1e-16 sum_k |x - z_k|^-1 of |g| where
     the poles cancel can put the value beyond rel_tol unseen by the error
     estimate: sharp_poles(64) at p = 0.5 is 2.2e-7 off at rel_tol 1e-8.
+    At very large p the mass can sit in a layer narrower than any node
+    (the README set's weighted mean at p = 1e6); a core that underflows
+    to 0 everywhere raises ToleranceNotMet instead of reporting 0.
     """
     angles = poles.angles
     pts = poles.points
@@ -393,13 +396,20 @@ def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
     a, b = _graded_panels(lo, hi, [0.0], ladders)
     integrand = functools.partial(_mean_values, pts, p, spec.weighted)
     core = _integrate(integrand, a, b, spec.rel_tol, spec.max_panels)
-    return QuadratureResult(
+    result = QuadratureResult(
         core.value + tail_value,
         core.error_estimate + tail_err,
         False,
         core.panels,
         core.function_evals,
     )
+    # the integrand is positive almost everywhere, so a zero core means it
+    # underflowed at every node and the engine took 0 <= rel_tol * 0 as met
+    if core.value == 0.0:
+        raise ToleranceNotMet(
+            f"the integrand at p = {p!r} underflowed to 0 at every node", result=result
+        )
+    return result
 
 
 # ---------------------------------------------------------------------------

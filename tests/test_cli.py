@@ -137,6 +137,49 @@ def test_verify_large_p_answers_or_exits_3(n, code, tmp_path):
         assert 0.0 < bound < math.inf
 
 
+def test_verify_underflowed_mean_exits_3(tmp_path):
+    # At p = 1e6 the weighted integrand |x g|^p of the README set (about
+    # 2/p in all) underflows at every node.  The mean was reported as 0.0
+    # with error 0.0, a false BOUND VIOLATION with exit 1.
+    poles = write_poles(tmp_path / "p.json", [math.pi / 2, 3 * math.pi / 2])
+    proc = run_cli("verify", "--poles", poles, "--p", "1e6")
+    assert proc.returncode == 3, proc.stderr
+    assert "underflowed" in proc.stderr
+    assert "BOUND VIOLATION" not in proc.stderr
+    proc = run_cli("verify", "--poles", poles, "--p", "1e4")
+    assert proc.returncode == 0, proc.stderr
+    weighted = json.loads(proc.stdout)["mean_bound"]["weighted"]["value"]
+    assert weighted == pytest.approx(2.0e-4, rel=1e-3)
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    # only explore's Nelder-Mead uses scipy, and it imports it on call
+    argv = ["verify", "--poles", write_poles(tmp_path / "p.json", [math.pi / 2]),
+            "--out", str(tmp_path / "out")]
+    code = (
+        "import sys, logderiv.cli\n"
+        f"assert logderiv.cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_parser_reuse_leaks_no_flag_values(tmp_path):
+    # main() reuses one parser per process: a second command in the same
+    # process must see the defaults, not the first command's values
+    poles = write_poles(tmp_path / "p.json", [0.4, 2.0, 5.5])
+    first, second, fresh = (tmp_path / name for name in ("first", "second", "fresh"))
+    flags = ["--p", "2", "--delta", "0.4", "--tol", "1e-6", "--format", "csv"]
+    assert main(["verify", "--poles", poles, *flags, "--out", str(first)]) == 0
+    assert main(["verify", "--poles", poles, "--out", str(second)]) == 0
+    proc = run_cli("verify", "--poles", poles, "--out", str(fresh))
+    assert proc.returncode == 0, proc.stderr
+    assert second.read_bytes() == fresh.read_bytes()
+    assert first.read_bytes() != second.read_bytes()
+
+
 def test_explore_mean_with_no_finite_value_exits_3():
     # |g|^400 overflows in every evaluation, so the search has no best
     # configuration; that was a TypeError traceback
