@@ -137,7 +137,8 @@ def poisson_kernel(v_angle: float, x: float) -> float:
 def eval_level_array(poles: PoleSet, xs: np.ndarray) -> np.ndarray:
     """F(x) = Re(x * g(x)) over an array of abscissae in [-1, 1].
 
-    Sums the per-pole rational terms.  Raises DomainError unless every x
+    Adds the per-pole rational terms in pole order into one accumulator,
+    so memory is O(points) at any n.  Raises DomainError unless every x
     satisfies |x| <= 1 (NaN fails too).  A real pole's own endpoint
     produces +-inf instead of raising, which is the convenient convention
     for membership sampling.
@@ -145,18 +146,17 @@ def eval_level_array(poles: PoleSet, xs: np.ndarray) -> np.ndarray:
     x = np.asarray(xs, dtype=float)
     if not np.all(np.abs(x) <= 1.0):
         raise DomainError("abscissae must lie in [-1, 1]")
-    a = np.cos(np.asarray(poles.angles))
-    real_plus = np.asarray([t == 0.0 for t in poles.angles])
-    real_minus = np.asarray([t == math.pi for t in poles.angles])
-    xx = x[..., None]
+    xx = x * x
+    out = np.zeros(x.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        generic = (xx * xx - a * xx) / (xx * xx - 2.0 * a * xx + 1.0)
-        if real_plus.any():
-            generic[..., real_plus] = xx / (xx - 1.0)
-        if real_minus.any():
-            generic[..., real_minus] = xx / (xx + 1.0)
-        out = generic.sum(axis=-1)
-    return out
+        for t, a in zip(poles.angles, np.cos(np.asarray(poles.angles)).tolist()):
+            if t == 0.0:
+                out += x / (x - 1.0)
+            elif t == math.pi:
+                out += x / (x + 1.0)
+            else:
+                out += (xx - a * x) / (xx - 2.0 * a * x + 1.0)
+    return out[()]  # a scalar for a scalar x
 
 
 @dataclass(frozen=True)

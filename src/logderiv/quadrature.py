@@ -45,11 +45,14 @@ The panel layer is vectorized and bounded in memory:
   so every cut is the float that repeated halving gives.  Only levels
   still above their min width are built.  The disk's rows in phi are
   the sorted rows of its break matrix.
-- The integrands add their poles one slab at a time, in the pairwise
-  order that ndarray.sum(axis=-1) uses for complex values, so no
-  (panels, 15, n) array is built; lp_mean's sums keep numpy's bits.
-  Each slab is a whole-array operation, where numpy's reduction over
-  the short pole axis made one inner-loop call per node.
+- The integrands loop over the poles and add each pole's term, in
+  order, into one accumulator through one reused buffer, so no
+  (panels, 15, n) array is built.  Each term is a whole-array
+  operation, where numpy's reduction over the short pole axis made one
+  inner-loop call per node.  Added in order, the sum is within
+  n eps sum_k |term_k| of the exact sum of the terms (recursive
+  summation: Higham, Accuracy and Stability of Numerical Algorithms,
+  2nd ed., 4.2).
 - The engine calls its kernel on chunks of _CHUNK_PANELS panels, so
   lp_mean runs in bounded memory (tested at n = 1024).
 """
@@ -93,11 +96,12 @@ GRADE_MIN_WIDTH = 1e-13
 _TAIL_WINDOW = 1e-8
 
 # The engine's kernel calls get at most _CHUNK_PANELS panels.  A pole sum
-# holds at most 5 + log2(n / 64) terms at once (5 up to n = 64, see
-# _pole_sum): (15, panels) slabs for lp_mean, three each for the rays.  1092
-# panels were at least as fast as a quarter, half or twice that, and as
-# single-shot calls up to 8 times that, with the fewest page faults (on
-# lp_means at n <= 20, 64 and 256 and the earlier radial kernel).
+# holds two slabs at any n, the accumulator and the term: (15, panels)
+# complex for lp_mean, (3, 15, panels) for the rays.  1092 panels were at
+# least as fast as a quarter, half or twice that, and as single-shot calls
+# up to 8 times that, with the fewest page faults (on lp_means at n <= 20,
+# 64 and 256 and the earlier radial kernel, when a sum held up to
+# 5 + log2(n / 64) slabs).
 _CHUNK_PANELS = 1092
 
 # Panel budgets of area_integral: per piece in phi, and per batch of rays.
@@ -162,57 +166,20 @@ def _graded_panels(
     return v[:-1], v[1:]
 
 
-def _pole_sum(term: Callable[[int], np.ndarray], c: int) -> np.ndarray:
-    """term(0) + ... + term(c-1), added in the order of ndarray.sum(axis=-1).
-
-    numpy sums the last axis of a complex array pairwise: in sequence
-    below 4 terms; up to 64 terms with four accumulators over blocks of
-    4, combined as (r0 + r1) + (r2 + r3), the leftover terms then added
-    in sequence; above 64 as two halves split at c//2 - (c//2) % 4.
-    Stacking the terms and summing gives the same bits, except that
-    numpy turns an all -0.0 sum into +0.0 and may pass on another NaN
-    operand (IEEE 754 leaves that choice open).  Each term is made only
-    when it is needed and must be a fresh array, since the first ones
-    become accumulators; at most 5 + log2(c / 64) slabs are live.
-    """
-    if c > 64:
-        half = c // 2 - (c // 2) % 4
-        s = _pole_sum(term, half)
-        s += _pole_sum(lambda k: term(half + k), c - half)
-        return s
-    if c < 4:
-        s = term(0)
-        for k in range(1, c):
-            s += term(k)
-        return s
-    r = [term(k) for k in range(4)]
-    top = c - c % 4
-    for k in range(4, top):
-        r[k % 4] += term(k)
-    s, r1, r2, r3 = r
-    s += r1
-    r2 += r3
-    s += r2
-    for k in range(top, c):
-        s += term(k)
-    return s
-
-
 def _abs_g(x: np.ndarray, z) -> np.ndarray:
-    """|sum_k 1 / (x - z[k])| at real nodes x, one pole slab at a time.
+    """|sum_k 1 / (x - z[k])| at real nodes x.
 
-    Each z[k] broadcasts against x.  The sum has the bits of
-    np.abs((1.0 / (x[..., None] - z)).sum(axis=-1)) with the poles on
-    the last axis.
+    The poles are added in order into one accumulator, through one
+    reused buffer, so memory is three arrays the shape of x at any n.
     """
     xc = x.astype(complex)
-
-    def term(k: int) -> np.ndarray:
-        d = xc - z[k]
-        return np.divide(1.0, d, out=d)
-
+    s = np.zeros_like(xc)
+    t = np.empty_like(xc)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.abs(_pole_sum(term, len(z)))
+        for zk in z.tolist():
+            np.subtract(xc, zk, out=t)
+            s += np.divide(1.0, t, out=t)
+    return np.abs(s)
 
 
 def _nodes(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -351,9 +318,12 @@ def _mean_values(pts: np.ndarray, p: float, weighted: bool, x: np.ndarray) -> np
 def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
     """integral over [-1,1] of |g|^p, optionally weighted by |x|^p.
 
-    Below p = 1, the rounding floor 1e-16 sum_k |x - z_k|^-1 of |g| where
-    the poles cancel can put the value beyond rel_tol unseen by the error
-    estimate: sharp_poles(64) at p = 0.5 is 2.2e-7 off at rel_tol 1e-8.
+    The value is that of the poles as given, float angles included:
+    sharp_poles(64) at p = 0.5 is 2.3e-7 above the closed form of the
+    exact extremal poles at rel_tol 1e-8, because the float angles move
+    the true mean 2.27e-7 above it; lp_mean is 6.4e-9 from that true
+    mean, which is the rounding of the pole sum where |g| nearly
+    vanishes, raised to the power p.
     At very large p the mass can sit in a layer narrower than any node
     (the README set's weighted mean at p = 1e6); a core that underflows
     to 0 everywhere raises ToleranceNotMet instead of reporting 0.
@@ -428,20 +398,21 @@ def _ray_kernel(dT: np.ndarray, piece: np.ndarray, w: np.ndarray, rows, a, b):
     # broadcasts along whole contiguous rows
     sw = s.T * w[:, None, rows]
     d = dT.take(piece[rows], axis=2)[:, :, None]
-
-    def term(j: int) -> np.ndarray:
-        # the conjugate of 1/(z - z_j) in t[:2], its modulus in t[2]
-        t = np.empty((3, 15, len(a)))
-        xy = np.subtract(d[:, j], sw, out=t[:2])
-        q = np.multiply(xy[0], xy[0], out=t[2])
-        q += xy[1] * xy[1]
-        np.divide(1.0, q, out=q)
-        xy *= q
-        np.sqrt(q, out=q)
-        return t
-
+    # each pole's term goes into one reused buffer t: the conjugate of
+    # 1/(z - z_j) in t[:2], its modulus in t[2]
+    acc = np.zeros((3, 15, len(a)))
+    t = np.empty_like(acc)
+    xy, q = t[:2], t[2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        re, im, den = _pole_sum(term, dT.shape[1])
+        for j in range(dT.shape[1]):
+            np.subtract(d[:, j], sw, out=xy)
+            np.multiply(xy[0], xy[0], out=q)
+            q += xy[1] * xy[1]
+            np.divide(1.0, q, out=q)
+            xy *= q
+            np.sqrt(q, out=q)
+            acc += t
+    re, im, den = acc
     return _kronrod((np.hypot(re, im) / den).T, h)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,3 +411,19 @@ def test_both_side_tags_and_endpoint_tag_reachable():
         if tags == {SIDE_PLUS, SIDE_MINUS, ENDPOINT}:
             break
     assert tags == {SIDE_PLUS, SIDE_MINUS, ENDPOINT}
+
+
+def test_verify_certificate_memory_is_bounded_at_n10000():
+    # the level function is summed pole by pole, so the 1000-point check
+    # needs O(points) memory at any n (0.4 MiB here); a (points, n) array
+    # of terms peaks at 230 MiB
+    poles = PoleSet(tuple(np.random.default_rng(10_000).uniform(0.0, TWO_PI, 10_000)))
+    cert = build_certificate(poles, 0.25, 3)
+    tracemalloc.start()
+    try:
+        report = verify_certificate(poles, cert)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 2 * 2**20

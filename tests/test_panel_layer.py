@@ -1,11 +1,16 @@
 """The vectorized panel layer against the scalar code it replaced.
 
-The one-row ladder builder, the disk's rows in phi, the retired rows,
-the chunked evaluation and the pole-slab sums change only time and
-memory: cuts, panel counts, function evaluation counts and values must
-be the same bits as before.  The scalar ladder builder, the refinement
-loop without retired rows and the integrands that summed a (panels, 15,
-n) array are kept below as the reference.  Whole integrals are checked
+The one-row ladder builder, the disk's rows in phi, the retired rows
+and the chunked evaluation change only time and memory: cuts, panel
+counts, function evaluation counts and values must be the same bits as
+before.  The pole sums add each pole's term in order into one
+accumulator, so they keep each term's bits but not numpy's order of
+addition: they must stay within the recursive-summation bound
+n eps sum_k |term_k| (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 4.2), plus one ulp, of the reference.  The scalar
+ladder builder, the refinement loop without retired rows, the integrands
+that summed a (panels, 15, n) array and the level function's per-pole
+terms are kept below as the reference.  Whole integrals are checked
 against their oracles and for the same bits on a rerun and under small
 chunks.
 """
@@ -17,7 +22,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from logderiv import MeanSpec, PoleSet, ToleranceNotMet, area_integral, lp_mean
+from logderiv import (
+    MeanSpec, PoleSet, ToleranceNotMet, area_integral, eval_level_array, lp_mean,
+)
 from logderiv.explorer import equally_spaced
 from logderiv.extremal import sharp_lp_mean, sharp_poles
 from logderiv.quadrature import (
@@ -30,7 +37,6 @@ from logderiv.quadrature import (
     _kronrod,
     _mean_values,
     _nodes,
-    _pole_sum,
     _ray_kernel,
 )
 from test_quadrature import elliptic_area
@@ -135,22 +141,26 @@ def frozen_mean_values(pts, p, weighted, x):
     return (g,)
 
 
+def frozen_level_terms(angles, x):
+    """eval_level_array's per-pole terms, one column a pole, verbatim from
+    when it summed a (points, n) array."""
+    a = np.cos(np.asarray(angles))
+    real_plus = np.asarray([t == 0.0 for t in angles])
+    real_minus = np.asarray([t == math.pi for t in angles])
+    xx = x[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        generic = (xx * xx - a * xx) / (xx * xx - 2.0 * a * xx + 1.0)
+        if real_plus.any():
+            generic[..., real_plus] = xx / (xx - 1.0)
+        if real_minus.any():
+            generic[..., real_minus] = xx / (xx + 1.0)
+    return generic
+
+
 def assert_panels_equal(got, want):
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.array_equal(g, w)
-
-
-def assert_same_bits(got, want):
-    # Every number has the same bits.  A NaN only has to be a NaN: IEEE
-    # 754 leaves open which NaN operand a sum passes on, and numpy's
-    # compiled loops pick their own operand order.
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.dtype == w.dtype
-        g, w = g.view(float), w.view(float)
-        nan = np.isnan(w)
-        assert np.array_equal(np.isnan(g), nan)
-        assert np.array_equal(g[~nan].view(np.uint64), w[~nan].view(np.uint64))
 
 
 def case_thetas(rng, n, kind):
@@ -238,32 +248,6 @@ def test_retired_slices_match_full_refinement(n, limits):
     assert outcome(lambda: _adaptive(kernel, rows, a, b, 30, rel_tol, cap)) == want
 
 
-def test_pole_sum_matches_numpy_sum_order():
-    # numpy's pairwise order for complex last-axis sums, at every size
-    # through three levels of halving, with magnitudes over 1e+-30 and
-    # some inf and nan terms
-    rng = np.random.default_rng(25)
-    specials = np.array([np.inf, -np.inf, complex(np.inf, np.nan), complex(0.0, -np.inf), np.nan])
-    for c in range(1, 301):
-        mag = 10.0 ** rng.uniform(-30.0, 30.0, (4, 15, c))
-        stack = mag * np.exp(1j * rng.uniform(0.0, TWO_PI, (4, 15, c)))
-        odd = rng.random((4, 15, c)) < 0.01
-        stack[odd] = rng.choice(specials, int(odd.sum()))
-        with np.errstate(invalid="ignore"):
-            got = _pole_sum(lambda k: stack[..., k].copy(), c)
-            want = stack.sum(axis=-1)
-        assert_same_bits((got,), (want,))
-
-
-def test_pole_sum_keeps_negative_zero():
-    # a documented difference besides NaN payloads: numpy adds its sum
-    # to +0.0
-    stack = np.full((2, 15, 5), complex(-0.0, -0.0))
-    got = _pole_sum(lambda k: stack[..., k].copy(), 5)
-    assert np.signbit(got.real).all() and np.signbit(got.imag).all()
-    assert not np.signbit(stack.sum(axis=-1).real).any()
-
-
 SLAB_NS = [1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64, 65, 128, 256, 1024]
 
 
@@ -304,8 +288,23 @@ def test_radial_kernel_matches_frozen_kernel(n):
         assert (np.abs(g - v)[ok] <= 1e-14 * 2.0 * h[ok]).all()
 
 
+def assert_within(got, want, bound):
+    # the same NaNs and infinities, and finite values within bound
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    inf = np.isinf(want)
+    assert np.array_equal(got[inf], want[inf])
+    ok = np.isfinite(want)
+    assert (np.abs(got[ok] - want[ok]) <= bound[ok]).all()
+
+
+EPS = np.finfo(float).eps
+
+
 @pytest.mark.parametrize("n", SLAB_NS)
 def test_mean_values_match_frozen_integrand(n):
+    # the pole sum in order against numpy's pairwise sum of the same
+    # terms, at p = 1: within n eps sum_k |x - z_k|^-1 plus one ulp
     rng = np.random.default_rng([27, n])
     thetas = case_thetas(rng, n, "uniform" if n % 2 else 1e-12)
     # poles on the real axis and within 1e-13 of it
@@ -315,10 +314,33 @@ def test_mean_values_match_frozen_integrand(n):
     panels = 240 if n <= 256 else 40
     a, b = near_pole_panels(rng, rng.choice(np.cos(thetas), panels))
     _, x = _nodes(a, b)
-    for p in (0.5, 1.0, 2.0):
-        for weighted in (False, True):
-            got = _mean_values(pts, p, weighted, x)
-            assert_same_bits((got,), frozen_mean_values(pts, p, weighted, x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.abs(1.0 / (x[..., None] - pts)).sum(axis=-1)
+    (want,) = frozen_mean_values(pts, 1.0, False, x)
+    assert_within(_mean_values(pts, 1.0, False, x), want,
+                  n * EPS * scale + np.spacing(want))
+
+
+@pytest.mark.parametrize("n", SLAB_NS)
+def test_level_array_matches_fsum_of_terms(n):
+    # F summed pole by pole against the correctly rounded sum of the same
+    # terms: within n eps sum_k |term_k| plus one ulp, at near-pole nodes
+    # and with real poles, whose own endpoints stay +-inf (poles nearer
+    # the axis than ~1e-8 have cos = +-1 and make F(+-1) NaN)
+    rng = np.random.default_rng([29, n])
+    thetas = case_thetas(rng, n, "uniform" if n % 2 else 1e-12)
+    edge = (0.0, math.pi, 1e-7, math.pi - 1e-7)
+    k = min(n, max(2, n // 8))
+    thetas[:k] = [edge[j % 4] for j in range(k)]
+    poles = PoleSet(tuple(thetas))
+    near = rng.choice(np.cos(thetas), 120) + rng.uniform(-1e-13, 1e-13, 120)
+    x = np.clip(np.concatenate([rng.uniform(-1.0, 1.0, 120), near, [-1.0, 1.0]]), -1.0, 1.0)
+    terms = frozen_level_terms(poles.angles, x)
+    want = np.array([math.fsum(row) for row in terms])
+    assert want[-1] == math.inf and (n == 1 or want[-2] == -math.inf)
+    with np.errstate(invalid="ignore"):
+        bound = n * EPS * np.abs(terms).sum(axis=1) + np.spacing(want)
+    assert_within(eval_level_array(poles, x), want, bound)
 
 
 def test_graded_panels_match_scalar_builder_on_seeded_ladders():

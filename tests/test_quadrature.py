@@ -155,13 +155,15 @@ def test_error_estimate_honors_tolerance():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="open defect: below p = 1 the rounding floor of the pole sum where "
-    "|g| is near 0 grows into more than rel_tol, unseen by the error estimate",
+    reason="open defect: the float angles of sharp_poles(n) define another "
+    "integral, whose true mean is more than rel_tol from the closed form of the "
+    "exact poles, unseen by the error estimate",
 )
 @pytest.mark.parametrize("n", [32, 64])
 def test_sharp_p_below_one_meets_rel_tol(n):
-    # 4.7e-8 off at n = 32 and 2.2e-7 at n = 64, with error estimates
-    # below 1e-8
+    # 4.9e-8 off at n = 32 and 2.3e-7 at n = 64, with error estimates
+    # below 1e-8; the float angles move the true mean 4.83e-8 and 2.27e-7
+    # above the closed form
     r = lp_mean(sharp_poles(n), MeanSpec(p=0.5))
     assert r.value == pytest.approx(sharp_lp_mean(n, 0.5), rel=1e-8)
 
