@@ -306,19 +306,15 @@ class VerificationReport:
         return self.ok
 
 
-def verify_certificate(
-    poles: PoleSet, cert: Certificate, samples: int = 1000
-) -> VerificationReport:
+def verify_certificate(poles: PoleSet, cert: Certificate) -> VerificationReport:
     """Re-audit a certificate against the raw pole set.
 
-    Checks |F| >= guarantee at `samples` equispaced points, both
-    endpoints included, of every witness interval (strict > for the endpoint
+    Checks |F| >= guarantee at 1000 equispaced points, both endpoints
+    included, of every witness interval (strict > for the endpoint
     branch, tolerance 1e-9 for the side branches), witness containment
     in the endpoint window, and the recorded-measure bookkeeping.
     Returns a report that is truthy iff everything holds.
     """
-    if samples < 100:
-        raise DomainError(f"samples must be >= 100, got {samples}")
     checks: List[Tuple[str, bool]] = []
     notes: List[str] = []
     first_failure: Optional[Tuple[float, float]] = None
@@ -338,7 +334,7 @@ def verify_certificate(
     if cert.witness.is_empty:
         notes.append("empty witness: pointwise check is vacuous")
     for lo, hi in cert.witness.intervals:
-        xs = np.linspace(lo, hi, samples)  # lo and hi exactly, in order
+        xs = np.linspace(lo, hi, 1000)  # lo and hi exactly, in order
         vals = np.abs(eval_level_array(poles, xs))
         good = (vals > cert.guarantee) if strict else (vals >= cert.guarantee - tol)
         if not bool(good.all()):

@@ -123,7 +123,7 @@ def cmd_verify(args) -> int:
 def cmd_witness(args) -> int:
     poles = PoleSet.from_json(_read_file(args.poles))
     cert = build_certificate(poles, args.delta, args.m)
-    rep = verify_certificate(poles, cert, samples=args.samples)
+    rep = verify_certificate(poles, cert)
     doc = {
         "certificate": json.loads(cert.to_json()),
         "verification": {
@@ -311,10 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("witness", help="build and audit a witness certificate")
     common(sp, poles=True, delta=0.25, fmt=False)
     sp.add_argument("--m", type=int, default=3)
-    sp.add_argument("--samples", type=int, default=1000)
     sp.set_defaults(fn=cmd_witness)
 
-    sp = sub.add_parser("measure", help="level set (float root isolation) and endpoint window")
+    sp = sub.add_parser("measure", help="level set (root-isolated cuts, membership by F) and endpoint window")
     common(sp, poles=True, delta=0.25)
     sp.set_defaults(fn=cmd_measure)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Tuple
@@ -61,24 +60,6 @@ class IntervalUnion:
             any(a - tol <= c and d <= b + tol for a, b in self.intervals)
             for c, d in other.intervals
         )
-
-    def reflect(self) -> "IntervalUnion":
-        return IntervalUnion(tuple((-b, -a) for a, b in self.intervals))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"intervals": [[a, b] for a, b in self.intervals], "measure": self.measure},
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "IntervalUnion":
-        try:
-            doc = json.loads(text)
-            pairs = tuple((float(a), float(b)) for a, b in doc["intervals"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed interval-union document: {exc}") from exc
-        return IntervalUnion(pairs)
 
     @staticmethod
     def empty() -> "IntervalUnion":

@@ -1,35 +1,44 @@
-"""Level sets of the level function F on [-1, 1], by float root isolation.
+"""Level sets of the level function F on [-1, 1].
 
 For a threshold tau = delta*n, the set {x : |F(x)| >= tau} is a finite
 union of closed intervals whose endpoints are roots of
 
     N(x) - tau*D(x)    or    N(x) + tau*D(x),
 
-where F = N/D over a common denominator.  Roots of both polynomials are
-isolated, the open gaps between consecutive breakpoints are classified
-by the sign of N^2 - tau^2 D^2 at their midpoints, and member gaps are
-merged.  Real poles of F make |F| blow up at the matching endpoint, so
-the adjacent gap classifies as a member automatically.
+where F = N/D over a common denominator.  Those roots, isolated on the
+expanded float coefficients, are the primary cuts.  Every membership
+question is then answered by eval_level_array, the one evaluator of F:
+a scan of each gap adds the crossings the cuts missed, and a gap between
+consecutive cuts is kept iff |F| >= tau at its midpoint.  Real poles of
+F make |F| blow up at the matching endpoint, so the adjacent gap is a
+member automatically.
 
-The expanded coefficients are floats, so the result is not exact: under
-coefficient noise a root can be lost or misplaced, and whole intervals
-can be wrongly kept or dropped.  Such errors grow more common with n.
+The result is not exact: under coefficient noise root isolation loses
+or misplaces roots, and the scan does not see a lost pair of crossings
+closer than its grid step.  None is lost in 1,100 seeded sets with
+n <= 40; a pole near the real axis can make such a pair, and 2 of 1,260
+benchmark level sets (n <= 20) lose a stretch ~2e-4 wide next to x = 1.
+From n = 41 on, N -+ tau*D can have degree above 80 and level_set raises
+RootIsolationFailure.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import List
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .bounds import endpoint_window_width, level_measure_constant
 from .errors import DomainError
 from .intervals import IntervalUnion, intersect
-from .poles import PoleSet, to_rational
-from .rootiso import isolate_roots
+from .poles import PoleSet, eval_level_array, to_rational
+from .rootiso import REFINE_WIDTH, isolate_roots
+
+# Points per gap of the scan for missed crossings, the gap's cuts
+# included.  Against dense sampling, at 65 points 8 of 1,100 seeded sets
+# (n <= 40) got a stretch 0.006-0.03 wide wrong inside a gap ~2 wide; at
+# 513 none does, for ~0.2 ms more per level set at n <= 20.
+_SCAN_POINTS = 513
 
 
 @dataclass(frozen=True)
@@ -60,23 +69,25 @@ def endpoint_window(n: int, delta: float) -> IntervalUnion:
     return IntervalUnion(((-1.0, -(1.0 - w)), (1.0 - w, 1.0)))
 
 
-def _sign_scan_gaps(square_diff: np.ndarray, cuts: List[float]) -> List[float]:
-    """Check each gap for constant sign of N^2 - tau^2 D^2; return missed cuts.
+def _missed_crossings(poles: PoleSet, tau: float, cuts: np.ndarray) -> np.ndarray:
+    """Crossings of |F| = tau that the cuts failed to record.
 
-    The Descartes pass can in principle drop a root pair hiding under
-    coefficient noise; a grid scan per gap catches any sign flip the
-    breakpoints failed to record.
+    Root isolation on float coefficients can lose or misplace a root
+    under coefficient noise.  Every gap at least 1e-10 wide is sampled
+    at _SCAN_POINTS equispaced points, its two cuts included so that a
+    misplaced cut is found too; each pair of neighbours whose memberships
+    (|F| >= tau) differ brackets a crossing, and the brackets are sampled
+    the same way until they are at most 1e-12 wide.  Returns the
+    midpoints of the final brackets.
     """
-    extra: List[float] = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a < 1e-10:
-            continue
-        grid = np.linspace(a, b, 65)[1:-1]
-        vals = npoly.polyval(grid, square_diff)
-        flips = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
-        for i in flips:
-            extra.extend(isolate_roots(square_diff, float(grid[i]), float(grid[i + 1])))
-    return extra
+    wide = np.flatnonzero(np.diff(cuts) >= 1e-10)
+    lo, hi = cuts[wide], cuts[wide + 1]
+    while lo.size and np.max(hi - lo) > REFINE_WIDTH:
+        grid = np.linspace(lo, hi, _SCAN_POINTS, axis=-1)
+        inside = np.abs(eval_level_array(poles, grid)) >= tau
+        i, j = np.nonzero(inside[:, :-1] != inside[:, 1:])
+        lo, hi = grid[i, j], grid[i, j + 1]
+    return 0.5 * (lo + hi)
 
 
 def level_set(poles: PoleSet, query: LevelQuery) -> IntervalUnion:
@@ -91,24 +102,13 @@ def level_set(poles: PoleSet, query: LevelQuery) -> IntervalUnion:
     num = np.pad(num, (0, width - len(num)))
     den = np.pad(den, (0, width - len(den)))
 
-    cuts = {-1.0, 1.0}
-    for g in (num - tau * den, num + tau * den):
-        cuts.update(isolate_roots(g))
-    cuts = sorted(cuts)
+    roots = isolate_roots(num - tau * den) + isolate_roots(num + tau * den)
+    cuts = np.unique([-1.0, 1.0, *roots])
+    cuts = np.union1d(cuts, _missed_crossings(poles, tau, cuts))
 
-    square_diff = npoly.polysub(npoly.polymul(num, num), tau * tau * npoly.polymul(den, den))
-    extra = _sign_scan_gaps(square_diff, cuts)
-    if extra:
-        cuts = sorted(set(cuts) | set(extra))
-
-    kept = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b <= a:
-            continue
-        m = 0.5 * (a + b)
-        if npoly.polyval(m, square_diff) >= 0.0:
-            kept.append((a, b))
-    return IntervalUnion(tuple(kept))
+    a, b = cuts[:-1], cuts[1:]
+    member = np.abs(eval_level_array(poles, 0.5 * (a + b))) >= tau
+    return IntervalUnion(tuple(zip(a[member].tolist(), b[member].tolist())))
 
 
 def level_set_for(poles: PoleSet, delta: float) -> IntervalUnion:

@@ -76,11 +76,6 @@ class PoleSet:
         th = np.asarray(self.angles)
         return np.cos(th) + 1j * np.sin(th)
 
-    @property
-    def real_pole_indices(self) -> Tuple[int, ...]:
-        """Indices of poles lying exactly at +1 (angle 0) or -1 (angle pi)."""
-        return tuple(k for k, t in enumerate(self.angles) if t == 0.0 or t == math.pi)
-
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "angles": list(self.angles)}, sort_keys=True)
 
@@ -137,25 +132,39 @@ def poisson_kernel(v_angle: float, x: float) -> float:
 def eval_level_array(poles: PoleSet, xs: np.ndarray) -> np.ndarray:
     """F(x) = Re(x * g(x)) over an array of abscissae in [-1, 1].
 
-    Adds the per-pole rational terms in pole order into one accumulator,
-    so memory is O(points) at any n.  Raises DomainError unless every x
-    satisfies |x| <= 1 (NaN fails too).  A real pole's own endpoint
-    produces +-inf instead of raising, which is the convenient convention
-    for membership sampling.
+    Adds the per-pole terms in pole order into one accumulator, so memory
+    is O(points) at any n.  A non-real pole's term is x d / (d^2 +
+    sin^2 theta) with d = x - cos theta formed without cancellation, as
+    (x - 1) + 2 sin^2(theta/2) when cos theta >= 0 and as
+    (x + 1) - 2 cos^2(theta/2) otherwise; so a pole near the real axis
+    keeps full relative accuracy and F(+-1) = n/2 for non-real poles.
+    Raises DomainError unless every x satisfies |x| <= 1 (NaN fails
+    too).  A real pole's own endpoint produces +-inf instead of raising,
+    which is the convenient convention for membership sampling.
     """
     x = np.asarray(xs, dtype=float)
     if not np.all(np.abs(x) <= 1.0):
         raise DomainError("abscissae must lie in [-1, 1]")
-    xx = x * x
+    below, above = x - 1.0, x + 1.0
     out = np.zeros(x.shape)
+    d = np.empty(x.shape)
+    den = np.empty(x.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t, a in zip(poles.angles, np.cos(np.asarray(poles.angles)).tolist()):
+        for t in poles.angles:
             if t == 0.0:
-                out += x / (x - 1.0)
+                np.divide(x, below, out=d)
             elif t == math.pi:
-                out += x / (x + 1.0)
+                np.divide(x, above, out=d)
             else:
-                out += (xx - a * x) / (xx - 2.0 * a * x + 1.0)
+                if math.cos(t) >= 0.0:
+                    np.add(below, 2.0 * math.sin(0.5 * t) ** 2, out=d)
+                else:
+                    np.subtract(above, 2.0 * math.cos(0.5 * t) ** 2, out=d)
+                np.multiply(d, d, out=den)
+                den += math.sin(t) ** 2
+                d *= x
+                d /= den
+            out += d
     return out[()]  # a scalar for a scalar x
 
 
@@ -170,8 +179,6 @@ class RationalLevelFunction:
 
     numerator: Tuple[float, ...]
     denominator: Tuple[float, ...]
-    n: int
-    real_pole_flags: Tuple[int, ...]
 
 
 def _grouped_cosines(angles: Sequence[float]) -> list:
@@ -216,8 +223,6 @@ def to_rational(poles: PoleSet) -> RationalLevelFunction:
     return RationalLevelFunction(
         numerator=tuple(np.atleast_1d(num).tolist()),
         denominator=tuple(np.atleast_1d(den).tolist()),
-        n=poles.n,
-        real_pole_flags=poles.real_pole_indices,
     )
 
 

@@ -1,12 +1,17 @@
-"""Real-root isolation on a segment via Descartes' rule and bisection.
+"""Real-root isolation on [-1, 1] via Descartes' rule and bisection.
 
-Coefficients are ascending.  Each interval is mapped onto [0, 1]; the
-sign variations of (1+t)^d q(1/(1+t)) bound the root count on the open
-interval.  Zero variations prune, one variation isolates, anything else
-splits at the midpoint.  Isolated brackets are refined by sign bisection
-to width 1e-12 and polished with a single Newton step.  Clusters that
-stay unresolved below the refinement width are reported by midpoint,
-which is the right behaviour for tangencies of level curves.
+Coefficients are ascending.  The level sets use it for one job: their
+primary cuts, the roots of N - tau*D and N + tau*D, of degree up to 2n.
+A degree above 80, the size of the precomputed Pascal triangle, raises
+RootIsolationFailure, so level sets of n >= 41 poles can raise.
+
+Each interval is mapped onto [0, 1]; the sign variations of
+(1+t)^d q(1/(1+t)) bound the root count on the open interval.  Zero
+variations prune, one variation isolates, anything else splits at the
+midpoint.  Isolated brackets are refined by sign bisection to width
+1e-12 and polished with a single Newton step.  Clusters that stay
+unresolved below the refinement width are reported by midpoint, which
+is the right behaviour for tangencies of level curves.
 
 The Taylor shifts p(x) -> p(x + a) are binomial matrix-vector products
 with a precomputed Pascal triangle, so a subdivision node costs two
@@ -26,6 +31,7 @@ from .errors import RootIsolationFailure
 REFINE_WIDTH = 1e-12
 _ZERO_REL = 1e-13
 _MAXD = 80
+_MAX_NODES = 200_000
 
 _I = np.arange(_MAXD + 1)
 _COMB = np.zeros((_MAXD + 1, _MAXD + 1))
@@ -114,13 +120,8 @@ def _refine_brackets(c: np.ndarray, dc: np.ndarray, brackets: List) -> List[floa
     return out_direct + polished.tolist()
 
 
-def isolate_roots(
-    coeffs,
-    lo: float = -1.0,
-    hi: float = 1.0,
-    max_nodes: int = 200_000,
-) -> List[float]:
-    """All real roots of the polynomial in [lo, hi], sorted ascending.
+def isolate_roots(coeffs) -> List[float]:
+    """All real roots of the polynomial in [-1, 1], sorted ascending.
 
     Raises RootIsolationFailure for a (numerically) zero polynomial, a
     degree beyond the precomputed Pascal table, or when the subdivision
@@ -138,20 +139,18 @@ def isolate_roots(
     dc = npoly.polyder(c)
 
     roots: List[float] = []
-    for x in (lo, hi):
+    for x in (-1.0, 1.0):
         if npoly.polyval(x, c) == 0.0:
             roots.append(x)
 
     brackets: List = []
-    stack = [(lo, hi)]
+    stack = [(-1.0, 1.0)]
     nodes = 0
     while stack:
         a, b = stack.pop()
         nodes += 1
-        if nodes > max_nodes:
-            raise RootIsolationFailure(
-                f"subdivision budget {max_nodes} exhausted on [{lo}, {hi}]"
-            )
+        if nodes > _MAX_NODES:
+            raise RootIsolationFailure(f"subdivision budget {_MAX_NODES} exhausted")
         v = _descartes_bound(c, a, b)
         if v == -1:
             raise RootIsolationFailure(
@@ -175,7 +174,7 @@ def isolate_roots(
     roots.sort()
     out: List[float] = []
     for r in roots:
-        r = min(max(r, lo), hi)
+        r = min(max(r, -1.0), 1.0)
         if not out or r - out[-1] > 1e-14:
             out.append(r)
     return out

@@ -114,7 +114,7 @@ def test_criterion_4_random_configuration_suite():
             if not conc["intersection"].measure >= level_measure_constant(delta) / n:
                 failures += 1
         cert = build_certificate(poles, 0.25, 3)
-        if not verify_certificate(poles, cert, samples=1000).ok:
+        if not verify_certificate(poles, cert).ok:
             failures += 1
     elapsed = time.perf_counter() - start
     conclude(
@@ -183,7 +183,7 @@ def test_criterion_7_endpoint_case_exercise():
         for m in (1, 2, 3):
             cert = build_certificate(poles, 0.2, m)
             ok = ok and cert.case_tag == ENDPOINT
-            rep = verify_certificate(poles, cert, samples=1000)
+            rep = verify_certificate(poles, cert)
             ok = ok and rep.ok and dict(rep.checks)["pointwise-level"]
             inside = intersect(cert.witness, window).measure
             ok = ok and inside >= cert.witness.measure - 1e-12

@@ -322,8 +322,6 @@ def test_verification_report_shape():
     }
     assert all(d.values())
     assert bool(rep)
-    with pytest.raises(DomainError):
-        verify_certificate(ps, build_certificate(ps, 0.25), samples=50)
 
 
 def widened(u: IntervalUnion) -> IntervalUnion:

@@ -343,7 +343,7 @@ def test_unread_flag_is_rejected(command, flag, value, tmp_path, capsys):
 # cheap value.
 REGISTERED_FLAGS = {
     "verify": ["--delta", "0.25", "--p", "1.0", "--tol", "1e-6", "--format", "csv"],
-    "witness": ["--delta", "0.25", "--m", "2", "--samples", "200"],
+    "witness": ["--delta", "0.25", "--m", "2"],
     "measure": ["--delta", "0.2", "--format", "csv"],
     "sharpness": ["--p", "1.0", "--n", "2", "--seed", "3", "--format", "csv"],
     "norms": ["--delta", "0.4", "--n", "2", "--seed", "3", "--format", "csv"],

@@ -1,7 +1,5 @@
 """Interval unions inside [-1, 1]: construction, measure, set algebra."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -57,13 +55,6 @@ def test_containment_of_unions():
     assert big.contains(IntervalUnion.empty())
 
 
-def test_reflect():
-    u = from_pairs([(0.25, 0.75)])
-    assert u.reflect().intervals == ((-0.75, -0.25),)
-    sym = from_pairs([(-0.6, -0.2), (0.2, 0.6)])
-    assert sym.reflect().intervals == sym.intervals
-
-
 def test_intersect_examples():
     whole = from_pairs([(0.0, 1.0)])
     assert intersect(whole, from_pairs([(0.5, 1.0)])).intervals == ((0.5, 1.0),)
@@ -83,12 +74,3 @@ def test_intersect_measure_bounds():
         assert w.measure <= min(u.measure, v.measure) + 1e-15
         assert u.contains(w, tol=1e-15)
         assert v.contains(w, tol=1e-15)
-
-
-def test_json_round_trip():
-    u = from_pairs([(-0.75, -0.25), (0.1, 0.9)])
-    doc = json.loads(u.to_json())
-    assert doc["intervals"] == [[-0.75, -0.25], [0.1, 0.9]]
-    assert doc["measure"] == pytest.approx(u.measure, abs=1e-15)
-    back = IntervalUnion.from_json(u.to_json())
-    assert back.intervals == u.intervals

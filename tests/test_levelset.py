@@ -1,4 +1,4 @@
-"""Exact level sets of |Re(x g(x))|, their measure, and the endpoint window."""
+"""Level sets of |Re(x g(x))|, their measure, and the endpoint window."""
 
 import math
 
@@ -9,7 +9,6 @@ from logderiv import (
     DomainError,
     LevelQuery,
     PoleSet,
-    RootIsolationFailure,
     endpoint_window,
     eval_level_array,
     intersect,
@@ -148,19 +147,51 @@ def test_window_concentration_guarantee():
             )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RootIsolationFailure,
-    reason="open defect: the gap scan hands the degree-4n polynomial N^2 - tau^2 D^2 "
-    "to isolate_roots, whose Pascal table stops at degree 80, so level sets "
-    "can raise from n = 21 on",
+# Dense sampling: |F| at 200,001 equispaced points of [-1, 1], in the
+# Poisson form F = (n - sum_k P_k)/2, which level_set never uses.
+DENSE_X = np.linspace(-1.0, 1.0, 200_001)
+DENSE_H = 2.0 / 200_000
+
+
+def dense_error(ps: PoleSet, delta: float, u) -> tuple:
+    """(error, tolerance): the grid measure where u and the sampled set
+    disagree, against 4 grid steps per possible crossing, 4h(4n + 2)."""
+    x = DENSE_X
+    base = 1.0 + x * x
+    kernels = np.zeros_like(x)
+    term = np.empty_like(x)
+    for a in np.cos(np.asarray(ps.angles)):
+        np.multiply(x, -2.0 * a, out=term)
+        term += base
+        np.reciprocal(term, out=term)
+        kernels += term
+    member = np.abs(0.5 * (ps.n - (1.0 - x * x) * kernels)) >= delta * ps.n
+    ends = np.asarray(u.intervals, dtype=float).reshape(-1)
+    got = np.searchsorted(ends, x, side="right") % 2 == 1
+    return DENSE_H * np.count_nonzero(member != got), 4.0 * DENSE_H * (4 * ps.n + 2)
+
+
+def _corpus():
+    rng = np.random.default_rng(2026)
+    for n in range(1, 21):
+        for delta in (0.1, 0.25, 0.4):
+            for k in range(5):
+                yield f"n{n}-d{delta}-{k}", n, delta, tuple(rng.uniform(0.0, TWO_PI, n))
+
+
+@pytest.mark.parametrize(
+    "n,delta,angles", [pytest.param(n, d, a, id=i) for i, n, d, a in _corpus()]
 )
-def test_level_set_for_answers_at_n_21_to_40():
-    # On the seeded corpus of 10 sets per n (rng 2026, delta 0.25) no set
-    # raises at n <= 20, 17 of 50 raise at n = 20-24 and about 31 of 50
-    # in each five-n bucket from 25 to 39.  Here 13 of the 20 sets raise,
-    # the first at n = 22.
-    for n in range(21, 41):
-        ps = PoleSet(tuple(np.random.default_rng([2026, n]).uniform(0.0, TWO_PI, n)))
-        u = level_set_for(ps, 0.25)
-        assert 0.0 < u.measure <= 2.0
+def test_level_set_matches_dense_sampling(n, delta, angles):
+    ps = PoleSet(angles)
+    err, tol = dense_error(ps, delta, level_set_for(ps, delta))
+    assert err <= tol
+
+
+@pytest.mark.parametrize("n", range(21, 41))
+def test_level_set_for_answers_at_n_21_to_40(n):
+    # the degree-4n polynomial of the old gap scan made 13 of these 20
+    # sets raise RootIsolationFailure, the first at n = 22
+    ps = PoleSet(tuple(np.random.default_rng([2026, n]).uniform(0.0, TWO_PI, n)))
+    err, tol = dense_error(ps, 0.25, level_set_for(ps, 0.25))
+    assert err <= tol

@@ -142,19 +142,18 @@ def frozen_mean_values(pts, p, weighted, x):
 
 
 def frozen_level_terms(angles, x):
-    """eval_level_array's per-pole terms, one column a pole, verbatim from
-    when it summed a (points, n) array."""
-    a = np.cos(np.asarray(angles))
-    real_plus = np.asarray([t == 0.0 for t in angles])
-    real_minus = np.asarray([t == math.pi for t in angles])
+    """eval_level_array's per-pole terms, one column a pole: x d / (d^2 +
+    sin^2 theta) with d = x - cos theta formed from the half angle, and
+    x/(x -+ 1) for a real pole."""
+    t = np.asarray(angles)
+    d_plus = (x[..., None] - 1.0) + 2.0 * np.sin(0.5 * t) ** 2
+    d_minus = (x[..., None] + 1.0) - 2.0 * np.cos(0.5 * t) ** 2
+    d = np.where(np.cos(t) >= 0.0, d_plus, d_minus)
     xx = x[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        generic = (xx * xx - a * xx) / (xx * xx - 2.0 * a * xx + 1.0)
-        if real_plus.any():
-            generic[..., real_plus] = xx / (xx - 1.0)
-        if real_minus.any():
-            generic[..., real_minus] = xx / (xx + 1.0)
-    return generic
+        generic = xx * d / (d * d + np.sin(t) ** 2)
+        real = np.where(t == 0.0, xx / (xx - 1.0), xx / (xx + 1.0))
+    return np.where((t == 0.0) | (t == math.pi), real, generic)
 
 
 def assert_panels_equal(got, want):
@@ -325,8 +324,7 @@ def test_mean_values_match_frozen_integrand(n):
 def test_level_array_matches_fsum_of_terms(n):
     # F summed pole by pole against the correctly rounded sum of the same
     # terms: within n eps sum_k |term_k| plus one ulp, at near-pole nodes
-    # and with real poles, whose own endpoints stay +-inf (poles nearer
-    # the axis than ~1e-8 have cos = +-1 and make F(+-1) NaN)
+    # and with real poles, whose own endpoints stay +-inf
     rng = np.random.default_rng([29, n])
     thetas = case_thetas(rng, n, "uniform" if n % 2 else 1e-12)
     edge = (0.0, math.pi, 1e-7, math.pi - 1e-7)

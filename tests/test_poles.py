@@ -112,6 +112,18 @@ def test_eval_level_array_real_pole_endpoints_are_infinite():
     assert vals[2] == math.inf
 
 
+def test_eval_level_array_endpoints_near_real_axis():
+    # every non-real pole's term is 1/2 at x = +-1, so F(+-1) = n/2, also
+    # for poles 1e-9 to 1e-13 from the axis, whose cos rounds to +-1
+    rng = np.random.default_rng(37)
+    near = [1e-9, 1e-11, 1e-13, math.pi - 1e-9, math.pi + 1e-12, TWO_PI - 1e-13]
+    for n in (1, 2, 6, 17, 64):
+        angles = rng.uniform(0.0, TWO_PI, n)
+        angles[: min(n, 6)] = near[: min(n, 6)]
+        vals = eval_level_array(PoleSet(tuple(angles)), np.array([-1.0, 1.0]))
+        assert np.all(np.abs(vals - 0.5 * n) <= n * n * np.finfo(float).eps), (n, vals)
+
+
 def test_eval_level_array_rejects_points_outside_segment():
     ps = PoleSet((0.5, 2.0))
     for bad in (1.0 + 2.0**-52, -1.5, math.inf, -math.inf, math.nan):
@@ -174,7 +186,7 @@ def test_level_depends_only_on_real_parts():
 
 def _exact_level(ps: PoleSet, x: float) -> Fraction:
     """sum_k (x^2 - a x)/(x^2 - 2 a x + 1) in exact rationals, at the
-    float cosines a the evaluator itself uses."""
+    float cosines a = cos(theta_k)."""
     xq = Fraction(x)
     total = Fraction(0)
     for a in np.cos(np.asarray(ps.angles)).tolist():
@@ -212,14 +224,12 @@ def test_rational_form_single_pole_at_i():
     rf = to_rational(PoleSet((math.pi / 2.0,)))
     assert np.allclose(rf.numerator, [0.0, 0.0, 1.0])
     assert np.allclose(rf.denominator, [1.0, 0.0, 1.0])
-    assert rf.real_pole_flags == ()
 
 
 def test_rational_form_single_pole_at_one():
     rf = to_rational(PoleSet((0.0,)))
     assert np.allclose(rf.numerator, [0.0, 1.0])
     assert np.allclose(rf.denominator, [-1.0, 1.0])
-    assert rf.real_pole_flags == (0,)
 
 
 def test_rational_form_conjugate_pair_merges():
