@@ -76,8 +76,7 @@ from .polynorm import (
     DiskPolynomial,
     ZeroCounts,
     cheb_norm,
-    check_imbalance_bound,
-    check_quarter_bound,
+    check_norm_bounds,
     check_two_sided_positivity,
     endpoint_ratio,
     random_disk_polynomial,

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from .bounds import level_measure_constant
 from .errors import DomainError, PreconditionViolation

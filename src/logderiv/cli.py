@@ -43,13 +43,12 @@ from .levelset import level_set_for, window_concentration
 from .poles import PoleSet, poles_digest
 from .polynorm import (
     DiskPolynomial,
-    check_imbalance_bound,
-    check_quarter_bound,
+    check_norm_bounds,
     check_two_sided_positivity,
     endpoint_ratio,
     random_disk_polynomial,
 )
-from .quadrature import MeanSpec, check_lp_lower_bound, lp_mean, mean_csv_row
+from .quadrature import MeanSpec, check_lp_lower_bound, mean_csv_row
 
 
 def _read_file(path: str) -> str:
@@ -191,8 +190,7 @@ def cmd_sharpness(args) -> int:
 
 
 def _norm_report(poly: DiskPolynomial, delta: float) -> dict:
-    quarter = check_quarter_bound(poly)
-    imbalance = check_imbalance_bound(poly)
+    quarter, imbalance = check_norm_bounds(poly)
     ratios = {}
     for at in (1, -1):
         try:

@@ -5,21 +5,23 @@ union of closed intervals whose endpoints are roots of
 
     N(x) - tau*D(x)    or    N(x) + tau*D(x),
 
-where F = N/D over a common denominator.  Those roots, isolated on the
-expanded float coefficients, are the primary cuts.  Every membership
-question is then answered by eval_level_array, the one evaluator of F:
-a scan of each gap adds the crossings the cuts missed, and a gap between
-consecutive cuts is kept iff |F| >= tau at its midpoint.  Real poles of
-F make |F| blow up at the matching endpoint, so the adjacent gap is a
-member automatically.
+where F = N/D over a common denominator.  Those roots, found as the
+companion-matrix eigenvalues of the expanded float coefficients, are
+the primary cuts.  Every membership question is then answered by
+eval_level_array, the one evaluator of F: a scan of each gap, its cuts
+included, adds to 1e-12 the crossings that the cuts missed or
+misplaced, and a gap between consecutive cuts is kept iff |F| >= tau
+at its midpoint.  Real poles of F make |F| blow up at the matching endpoint,
+so the adjacent gap is a member automatically.
 
-The result is not exact: under coefficient noise root isolation loses
-or misplaces roots, and the scan does not see a lost pair of crossings
-closer than its grid step.  None is lost in 1,100 seeded sets with
-n <= 40; a pole near the real axis can make such a pair, and 2 of 1,260
-benchmark level sets (n <= 20) lose a stretch ~2e-4 wide next to x = 1.
-From n = 41 on, N -+ tau*D can have degree above 80 and level_set raises
-RootIsolationFailure.
+The result is not exact: the scan does not see a pair of crossings
+closer than its grid step that the cuts missed.  None is missed in
+1,100 seeded sets with n <= 40, and the two stretches ~2e-4 wide next
+to x = 1 that the benchmark's level sets used to lose (seed 703
+rand-n13-0 at delta = 0.4, seed 704 rand-n19-1 at delta = 0.1) are now
+cut by eigenvalues.  From n = 41 on, N -+ tau*D can have degree above
+80, where its monomial coefficients carry no correct digit, and
+level_set raises RootIsolationFailure.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ from .bounds import endpoint_window_width, level_measure_constant
 from .errors import DomainError
 from .intervals import IntervalUnion, intersect
 from .poles import PoleSet, eval_level_array, to_rational
-from .rootiso import REFINE_WIDTH, isolate_roots
+from .rootiso import isolate_roots
+
+# Width at which a bracket of a crossing of |F| = tau counts as refined.
+REFINE_WIDTH = 1e-12
 
 # Points per gap of the scan for missed crossings, the gap's cuts
 # included.  Against dense sampling, at 65 points 8 of 1,100 seeded sets
@@ -72,7 +77,7 @@ def endpoint_window(n: int, delta: float) -> IntervalUnion:
 def _missed_crossings(poles: PoleSet, tau: float, cuts: np.ndarray) -> np.ndarray:
     """Crossings of |F| = tau that the cuts failed to record.
 
-    Root isolation on float coefficients can lose or misplace a root
+    The eigenvalues of float coefficients can lose or misplace a root
     under coefficient noise.  Every gap at least 1e-10 wide is sampled
     at _SCAN_POINTS equispaced points, its two cuts included so that a
     misplaced cut is found too; each pair of neighbours whose memberships

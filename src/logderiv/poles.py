@@ -21,7 +21,6 @@ after cancelling a linear factor.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass

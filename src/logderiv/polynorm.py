@@ -149,24 +149,22 @@ class NormBoundReport:
     counts: Optional[ZeroCounts] = None
 
 
-def check_quarter_bound(poly: DiskPolynomial) -> NormBoundReport:
-    """Universal floor: the derivative norm is at least a quarter of the
-    polynomial norm (tolerance 1e-10)."""
-    norm = cheb_norm(poly)
-    dnorm = cheb_norm(poly, derivative=True)
-    return NormBoundReport(norm, dnorm, 0.25, dnorm >= 0.25 * norm - 1e-10)
-
-
-def check_imbalance_bound(poly: DiskPolynomial) -> NormBoundReport:
-    """Refined floor from the zero counts:
-    max(1/4, sqrt((max(n+, n-) + n0) / (2 min(n+, n-) + 1)) / 900)."""
+def check_norm_bounds(poly: DiskPolynomial) -> Tuple[NormBoundReport, NormBoundReport]:
+    """The two derivative-norm floors, from one pair of norms
+    (tolerance 1e-10): the universal quarter, ||p'|| >= ||p|| / 4, and the
+    refined floor from the zero counts,
+    max(1/4, sqrt((max(n+, n-) + n0) / (2 min(n+, n-) + 1)) / 900).
+    Returns (quarter, imbalance)."""
     c = zero_counts(poly)
     hi = max(c.n_plus, c.n_minus) + c.n_zero
     lo = 2 * min(c.n_plus, c.n_minus) + 1
     factor = max(0.25, math.sqrt(hi / lo) / 900.0)
     norm = cheb_norm(poly)
     dnorm = cheb_norm(poly, derivative=True)
-    return NormBoundReport(norm, dnorm, factor, dnorm >= factor * norm - 1e-10, c)
+    return (
+        NormBoundReport(norm, dnorm, 0.25, dnorm >= 0.25 * norm - 1e-10),
+        NormBoundReport(norm, dnorm, factor, dnorm >= factor * norm - 1e-10, c),
+    )
 
 
 def endpoint_ratio(poly: DiskPolynomial, at: int) -> float:

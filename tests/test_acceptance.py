@@ -23,9 +23,8 @@ from logderiv import (
     ZeroAtEndpoint,
     area_integral,
     build_certificate,
-    check_imbalance_bound,
     check_lp_lower_bound,
-    check_quarter_bound,
+    check_norm_bounds,
     check_two_sided_positivity,
     common_segment,
     endpoint_ratio,
@@ -196,9 +195,10 @@ def test_criterion_8_polynomial_norm_suite():
     endpoint_checks = 0
     for _ in range(200):
         poly = random_disk_polynomial(rng, 1 + int(rng.integers(0, 8)))
-        if not check_quarter_bound(poly).ok:
+        quarter, imbalance = check_norm_bounds(poly)
+        if not quarter.ok:
             failures += 1
-        if not check_imbalance_bound(poly).ok:
+        if not imbalance.ok:
             failures += 1
         for at in (1, -1):
             try:

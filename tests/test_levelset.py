@@ -153,10 +153,8 @@ DENSE_X = np.linspace(-1.0, 1.0, 200_001)
 DENSE_H = 2.0 / 200_000
 
 
-def dense_error(ps: PoleSet, delta: float, u) -> tuple:
-    """(error, tolerance): the grid measure where u and the sampled set
-    disagree, against 4 grid steps per possible crossing, 4h(4n + 2)."""
-    x = DENSE_X
+def sampled_member(ps: PoleSet, delta: float, x: np.ndarray) -> np.ndarray:
+    """|F(x)| >= delta n in the Poisson form."""
     base = 1.0 + x * x
     kernels = np.zeros_like(x)
     term = np.empty_like(x)
@@ -165,10 +163,21 @@ def dense_error(ps: PoleSet, delta: float, u) -> tuple:
         term += base
         np.reciprocal(term, out=term)
         kernels += term
-    member = np.abs(0.5 * (ps.n - (1.0 - x * x) * kernels)) >= delta * ps.n
+    return np.abs(0.5 * (ps.n - (1.0 - x * x) * kernels)) >= delta * ps.n
+
+
+def disagreement(ps: PoleSet, delta: float, u, x: np.ndarray) -> float:
+    """Grid measure, on the equispaced points x, where u and the sampled
+    set disagree."""
     ends = np.asarray(u.intervals, dtype=float).reshape(-1)
     got = np.searchsorted(ends, x, side="right") % 2 == 1
-    return DENSE_H * np.count_nonzero(member != got), 4.0 * DENSE_H * (4 * ps.n + 2)
+    return (x[1] - x[0]) * np.count_nonzero(sampled_member(ps, delta, x) != got)
+
+
+def dense_error(ps: PoleSet, delta: float, u) -> tuple:
+    """(error, tolerance): the grid measure where u and the sampled set
+    disagree, against 4 grid steps per possible crossing, 4h(4n + 2)."""
+    return disagreement(ps, delta, u, DENSE_X), 4.0 * DENSE_H * (4 * ps.n + 2)
 
 
 def _corpus():
@@ -195,3 +204,28 @@ def test_level_set_for_answers_at_n_21_to_40(n):
     ps = PoleSet(tuple(np.random.default_rng([2026, n]).uniform(0.0, TWO_PI, n)))
     err, tol = dense_error(ps, 0.25, level_set_for(ps, 0.25))
     assert err <= tol
+
+
+def _audit_set(seed: int, n: int, rep: int) -> PoleSet:
+    """The benchmark audit's set rand-n{n}-{rep}: default_rng([seed, 1]),
+    reps 0-3 in the outer loop, n = 1-20 in the inner loop."""
+    rng = np.random.default_rng([seed, 1])
+    for r in range(4):
+        for m in range(1, 21):
+            angles = rng.uniform(0.0, TWO_PI, m)
+            if (r, m) == (rep, n):
+                return PoleSet(tuple(angles))
+    raise ValueError(f"no audit set rand-n{n}-{rep}")
+
+
+@pytest.mark.parametrize(
+    "seed,n,rep,delta,hole",
+    [(703, 13, 0, 0.4, 0.99984), (704, 19, 1, 0.1, 0.99912)],
+    ids=["seed703-rand-n13-0", "seed704-rand-n19-1"],
+)
+def test_level_set_finds_holes_next_to_one(seed, n, rep, delta, hole):
+    # a pole near the real axis opens a hole ~2e-4 wide just inside x = 1;
+    # Descartes isolation lost both, and the gap scan's step is ~4e-3
+    ps = _audit_set(seed, n, rep)
+    x = np.linspace(hole - 2e-4, 1.0, 20_001)
+    assert disagreement(ps, delta, level_set_for(ps, delta), x) <= 1e-6

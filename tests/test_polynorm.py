@@ -10,8 +10,7 @@ from logderiv import (
     DomainError,
     ZeroAtEndpoint,
     cheb_norm,
-    check_imbalance_bound,
-    check_quarter_bound,
+    check_norm_bounds,
     check_two_sided_positivity,
     endpoint_ratio,
     random_disk_polynomial,
@@ -88,11 +87,11 @@ def test_norm_against_dense_scan():
 
 
 def test_quarter_bound_examples():
-    rep = check_quarter_bound(DiskPolynomial((0.0, 0.0)))
+    rep = check_norm_bounds(DiskPolynomial((0.0, 0.0)))[0]
     assert rep.ok
     assert rep.deriv_norm == pytest.approx(2.0, rel=1e-12)
     assert rep.norm == pytest.approx(1.0, rel=1e-12)
-    assert check_quarter_bound(DiskPolynomial((1j, -1j))).ok
+    assert check_norm_bounds(DiskPolynomial((1j, -1j)))[0].ok
 
 
 def test_quarter_bound_single_zero_sweep():
@@ -100,7 +99,7 @@ def test_quarter_bound_single_zero_sweep():
     for _ in range(50):
         r = math.sqrt(float(rng.uniform(0.0, 1.0)))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        rep = check_quarter_bound(DiskPolynomial((r * complex(math.cos(phi), math.sin(phi)),)))
+        rep = check_norm_bounds(DiskPolynomial((r * complex(math.cos(phi), math.sin(phi)),)))[0]
         assert rep.ok
         # degree one: the true ratio never drops below 1/2
         assert rep.deriv_norm >= 0.5 * rep.norm - 1e-12
@@ -110,7 +109,7 @@ def test_quarter_bound_random_sweep():
     rng = np.random.default_rng(167)
     for _ in range(60):
         n = int(rng.integers(1, 9))
-        assert check_quarter_bound(random_disk_polynomial(rng, n)).ok
+        assert check_norm_bounds(random_disk_polynomial(rng, n))[0].ok
 
 
 def test_zero_counts_exact_signs():
@@ -120,12 +119,12 @@ def test_zero_counts_exact_signs():
 
 
 def test_imbalance_bound_examples():
-    rep = check_imbalance_bound(DiskPolynomial((1j, -1j)))
+    rep = check_norm_bounds(DiskPolynomial((1j, -1j)))[1]
     assert rep.ok
     assert rep.bound_factor == 0.25
-    rep = check_imbalance_bound(DiskPolynomial((0.0, 0.0, 0.0, 0.0)))
+    rep = check_norm_bounds(DiskPolynomial((0.0, 0.0, 0.0, 0.0)))[1]
     assert rep.bound_factor == 0.25  # max(1/4, sqrt(4/1)/900)
-    rep = check_imbalance_bound(DiskPolynomial((1j,) * 5))
+    rep = check_norm_bounds(DiskPolynomial((1j,) * 5))[1]
     assert rep.bound_factor == 0.25  # max(1/4, sqrt 5 / 900)
     assert rep.ok
 
@@ -141,7 +140,7 @@ def test_imbalance_bound_factor_formula():
             math.sqrt((max(c.n_plus, c.n_minus) + c.n_zero) / (2 * min(c.n_plus, c.n_minus) + 1))
             / 900.0,
         )
-        rep = check_imbalance_bound(poly)
+        rep = check_norm_bounds(poly)[1]
         assert rep.bound_factor == pytest.approx(expected, rel=1e-15)
         assert rep.ok
 

@@ -1,9 +1,11 @@
-"""Real root isolation on [-1, 1] for the level-set polynomials."""
+"""Real roots on [-1, 1] of the level-set polynomials, as eigenvalues."""
 
 import numpy as np
 import pytest
 
-from logderiv.rootiso import REFINE_WIDTH, isolate_roots
+from logderiv.errors import RootIsolationFailure
+from logderiv.levelset import REFINE_WIDTH
+from logderiv.rootiso import isolate_roots
 
 
 def roots_via_numpy(coeffs, lo=-1.0, hi=1.0):
@@ -24,7 +26,29 @@ def test_no_roots():
 
 def test_endpoint_roots_found():
     # (x - 1)(x + 1) = x^2 - 1
-    assert isolate_roots([-1.0, 0.0, 1.0]) == pytest.approx([-1.0, 1.0], abs=1e-12)
+    assert isolate_roots([-1.0, 0.0, 1.0]) == [-1.0, 1.0]
+
+
+def test_double_root_reported():
+    # (x - 0.3)^2: the eigenvalues split by ~sqrt(eps), real or conjugate
+    got = isolate_roots([0.09, -0.6, 1.0])
+    assert got
+    assert all(abs(r - 0.3) < 1e-7 for r in got)
+
+
+def test_degree_cap():
+    # past degree 80 the level-set coefficients carry no correct digit
+    assert isolate_roots(np.poly(np.linspace(-0.9, 0.9, 80))[::-1]) != []
+    with pytest.raises(RootIsolationFailure):
+        isolate_roots(np.poly(np.linspace(-0.9, 0.9, 81))[::-1])
+    # trailing zeros do not count towards the degree
+    assert isolate_roots([-0.5, 1.0] + [0.0] * 100) == pytest.approx([0.5], abs=1e-12)
+
+
+@pytest.mark.parametrize("coeffs", [[0.0], [0.0, 0.0, 0.0], [1.0, float("inf")], [float("nan"), 1.0]])
+def test_zero_or_non_finite_polynomial_raises(coeffs):
+    with pytest.raises(RootIsolationFailure):
+        isolate_roots(coeffs)
 
 
 def test_constructed_roots_recovered():
@@ -58,7 +82,8 @@ def test_refined_width_constant():
 
 
 def test_roots_are_polished():
-    # residual after Newton polish is at the noise floor of evaluation
+    # the eigenvalues are backward stable: the residual is at the noise
+    # floor of evaluation without any Newton step
     rng = np.random.default_rng(47)
     for _ in range(20):
         deg = int(rng.integers(2, 12))
