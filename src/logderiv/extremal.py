@@ -21,8 +21,6 @@ from .intervals import IntervalUnion
 from .poles import PoleSet
 from .quadrature import _graded_panels, _integrate
 
-_TAIL = 1e-8
-
 ArrayLike = Union[float, np.ndarray]
 
 
@@ -57,24 +55,20 @@ def sharp_level(n: int, x: ArrayLike) -> ArrayLike:
 def _kernel_integral(exponent: float, p: float, rel_tol: float) -> float:
     """integral over [0,1] of t^exponent (1+t^2)^(-p/2); exponent > -1.
 
-    A negative exponent is an integrable endpoint singularity; the
-    innermost window is integrated in closed form (the quartic term of
-    the (1+t^2) expansion is below 1e-32 at the window width).
+    A negative exponent is an integrable endpoint singularity, which
+    t = u^k with k = 1/(1 + exponent) removes: the integrand becomes the
+    bounded k (1 + t^2)^(-p/2) in u over [0, 1].
     """
     if exponent <= -1.0:
         raise DomainError(f"exponent must exceed -1, got {exponent}")
+    k = 1.0 / (1.0 + min(exponent, 0.0))
 
-    def f(t: np.ndarray) -> np.ndarray:
-        return t**exponent * (1.0 + t * t) ** (-0.5 * p)
+    def f(u: np.ndarray) -> np.ndarray:
+        t = u**k
+        return k * t ** max(exponent, 0.0) * (1.0 + t * t) ** (-0.5 * p)
 
-    if exponent < 0.0:
-        w = _TAIL
-        tail = w ** (1.0 + exponent) / (1.0 + exponent)
-        tail -= 0.5 * p * w ** (3.0 + exponent) / (3.0 + exponent)
-        a, b = _graded_panels(w, 1.0, [], [(0.0, 0.5, 0.5 * w, +1)])
-        return _integrate(f, a, b, rel_tol, 50_000).value + tail
     a, b = _graded_panels(0.0, 1.0, [0.5])
-    return _integrate(f, a, b, rel_tol, 50_000).value
+    return _integrate([(f, a, b)], rel_tol, 50_000).value
 
 
 def sharp_lp_mean(n: int, p: float, rel_tol: float = 1e-10) -> float:

@@ -48,6 +48,14 @@ def _normalize_angle(theta: float) -> float:
     return t + 0.0  # clears the sign of -0.0
 
 
+def json_numbers(value, what: str) -> list:
+    """The floats of a JSON array of numbers; DomainError for anything
+    else, such as a string of digits or a boolean (an int to Python)."""
+    if not isinstance(value, list) or any(type(v) not in (int, float) for v in value):
+        raise DomainError(f"{what}: expected an array of numbers, got {value!r}")
+    return [float(v) for v in value]
+
+
 @dataclass(frozen=True)
 class PoleSet:
     """Multiset of unit-circle poles, stored as angles in [0, 2*pi).
@@ -88,12 +96,12 @@ class PoleSet:
         """
         try:
             doc = json.loads(text)
-            raw = [float(t) for t in doc["angles"]]
-            n = int(doc.get("n", len(raw)))
-        except (KeyError, TypeError, ValueError) as exc:
+            raw = json_numbers(doc["angles"], "angles")
+            (n,) = json_numbers([doc.get("n", len(raw))], "n")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed pole-set document: {exc}") from exc
         if n != len(raw):
-            raise DomainError(f"declared n={n} but {len(raw)} angles given")
+            raise DomainError(f"declared n={n!r} but {len(raw)} angles given")
         snapped = []
         for t in raw:
             u = _normalize_angle(t)

@@ -19,6 +19,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, ZeroAtEndpoint
+from .poles import json_numbers
 
 _DISK_TOL = 1e-14
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -78,10 +79,11 @@ class DiskPolynomial:
     def from_json(text: str) -> "DiskPolynomial":
         try:
             d = json.loads(text)
-            zeros = tuple(complex(a, b) for a, b in d["zeros"])
-            lead = d.get("leading", [1.0, 0.0])
-            leading = complex(lead[0], lead[1])
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            pairs = [json_numbers(z, "zero") for z in d["zeros"]]
+            zeros = tuple(complex(re, im) for re, im in pairs)
+            re, im = json_numbers(d.get("leading", [1.0, 0.0]), "leading")
+            leading = complex(re, im)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed polynomial document: {exc}") from exc
         return DiskPolynomial(zeros=zeros, leading=leading)
 

@@ -20,9 +20,12 @@ shoulders.  That is ~log2(16/h_k) levels a side.
 
 A real pole makes the x-integrals diverge for p >= 1; that is detected
 structurally, never by overflow.  For p < 1 the endpoint singularity
-|x -+ 1|^(-p) is integrable but too steep for any quadrature on the
-float grid near the endpoint, so the innermost window is handled by a
-second-order closed-form tail instead.
+|x -+ 1|^(-p) is integrable, and a change of variables removes it
+exactly (Davis and Rabinowitz, Methods of Numerical Integration, 2nd
+ed., 1984): on a window of width W at the endpoint e, 1 - e x = s = u^k
+with k = 1/(1 - p) turns |g|^p dx into the bounded k |s g|^p du.  The
+window is one more row of the engine, so one panel budget and one
+tolerance cover it and the core.
 
 The disk integral of |g| is split into one piece per pole by the
 partition of unity |z - z_k|^-1 / sum_j |z - z_j|^-1, and each piece is
@@ -93,7 +96,6 @@ _WG = np.array([
 ])
 
 GRADE_MIN_WIDTH = 1e-13
-_TAIL_WINDOW = 1e-8
 
 # The engine's kernel calls get at most _CHUNK_PANELS panels.  A pole sum
 # holds two slabs at any n, the accumulator and the term: (15, panels)
@@ -142,13 +144,11 @@ def _graded_panels(
     """Panels (a, b) of one row, left to right, between cut points.
 
     The row is cut at lo, hi, the breaks inside (lo, hi), and one
-    geometric ladder per (c, w, min_width, side) toward its center c:
-    the points c -+ w 2^-j for every level j with w 2^-j above
-    min_width.  side is -1 for a one-sided ladder below the center, +1
-    above, 0 for both.  Cuts closer than 4e-16 to the previous one are
-    dropped.
+    geometric ladder per (c, w, min_width) toward its center c: the
+    points c -+ w 2^-j for every level j with w 2^-j above min_width.
+    Cuts closer than 4e-16 to the previous one are dropped.
     """
-    c, w, mw, s = np.array(ladders, dtype=float).reshape(-1, 4).T
+    c, w, mw = np.array(ladders, dtype=float).reshape(-1, 3).T
     cuts = [np.array([lo, hi, *(b for b in breaks if lo < b < hi)]), c[(lo < c) & (c < hi)]]
     # Level j is w 2^-j: scaling by a power of two is exact, so each cut
     # is the float that repeated halving gives.  Only ladders with a
@@ -156,18 +156,17 @@ def _graded_panels(
     # deepest such level.
     live = w > mw
     if live.any():
-        c, w, mw, s = (v[live, None] for v in (c, w, mw, s))
+        c, w, mw = (v[live, None] for v in (c, w, mw))
         d = np.ldexp(w, -np.arange(int(np.ceil(np.log2((w / mw).max()))) + 2))
-        for sign in (-1.0, 1.0):
-            q = c + sign * d
-            cuts.append(q[(d > mw) & (s != -sign) & (lo < q) & (q < hi)])
+        for q in (c - d, c + d):
+            cuts.append(q[(d > mw) & (lo < q) & (q < hi)])
     v = np.sort(np.concatenate(cuts))
     v = v[np.concatenate(([True], np.diff(v) > 4e-16))]
     return v[:-1], v[1:]
 
 
-def _abs_g(x: np.ndarray, z) -> np.ndarray:
-    """|sum_k 1 / (x - z[k])| at real nodes x.
+def _g(x: np.ndarray, z) -> np.ndarray:
+    """sum_k 1 / (x - z[k]) at real nodes x.
 
     The poles are added in order into one accumulator, through one
     reused buffer, so memory is three arrays the shape of x at any n.
@@ -179,7 +178,7 @@ def _abs_g(x: np.ndarray, z) -> np.ndarray:
         for zk in z.tolist():
             np.subtract(xc, zk, out=t)
             s += np.divide(1.0, t, out=t)
-    return np.abs(s)
+    return s
 
 
 def _nodes(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -192,11 +191,6 @@ def _kronrod(y: np.ndarray, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     k = h * (y * _WGK).sum(axis=1)
     g = h * (y[:, 1::2] * _WG).sum(axis=1)
     return k, np.abs(k - g)
-
-
-def _rule(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
-    h, x = _nodes(a, b)
-    return _kronrod(f(x), h)
 
 
 def _adaptive(
@@ -280,39 +274,51 @@ def _adaptive(
     )
 
 
-def _integrate(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray,
-               rel_tol: float, max_panels: int) -> QuadratureResult:
-    """integral of f over the panels (a, b), through _adaptive as one row."""
-    val, err, panels, evals = _adaptive(
-        lambda rows, a, b: _rule(f, a, b),
-        np.zeros(len(a), dtype=np.intp), a, b, 1, rel_tol, max_panels,
-    )
-    return QuadratureResult(float(val[0]), float(err[0]), False, panels, evals)
+def _integrate(parts, rel_tol: float, max_panels: int) -> QuadratureResult:
+    """Sum over parts (f, a, b) of the integral of f over the panels (a, b).
 
-
-def _real_pole_tail(
-    p: float, weighted: bool, mult: int, other_re_sum: float, w: float
-) -> Tuple[float, float]:
-    """Closed-form integral of |g|^p (|x|^p) over a width-w endpoint window.
-
-    Near a real pole of multiplicity m the integrand is
-    m^p u^(-p) (1 - p u (Re g_rest / m + [weighted])) + O(u^(2-p)),
-    u the distance to the endpoint.  Returns (value, error bound).
+    Each part is one row of _adaptive, so max_panels bounds the parts
+    together, each meets rel_tol on its own, and ToleranceNotMet carries
+    the sum of all of them.
     """
-    lead = mult**p * w ** (1.0 - p) / (1.0 - p)
-    corr = mult**p * p * (other_re_sum / mult + (1.0 if weighted else 0.0))
-    corr *= w ** (2.0 - p) / (2.0 - p)
-    # Quadratic remainder, crude but sufficient at w <= 1e-8.
-    err = abs(corr) * w * 4.0 + mult**p * w ** (3.0 - p)
-    return lead - corr, err
+    fs, a, b = zip(*parts)
+
+    def kernel(rows, a, b):
+        h, x = _nodes(a, b)
+        y = np.empty_like(x)
+        for r, f in enumerate(fs):
+            part = rows == r
+            y[part] = f(x[part])
+        return _kronrod(y, h)
+
+    rows = np.repeat(np.arange(len(fs)), [len(v) for v in a])
+    val, err, panels, evals = _adaptive(
+        kernel, rows, np.concatenate(a), np.concatenate(b), len(fs), rel_tol, max_panels
+    )
+    return QuadratureResult(float(val.sum()), float(err.sum()), False, panels, evals)
 
 
 def _mean_values(pts: np.ndarray, p: float, weighted: bool, x: np.ndarray) -> np.ndarray:
     """The lp_mean integrand |g|^p, times |x|^p if weighted, at nodes x."""
-    g = _abs_g(x, pts) ** p
+    g = np.abs(_g(x, pts)) ** p
     if weighted:
         g = g * np.abs(x) ** p
     return g
+
+
+def _window_values(
+    shifted: np.ndarray, e: float, m: int, p: float, weighted: bool, u: np.ndarray
+) -> np.ndarray:
+    """The lp_mean integrand in u on the window at the real pole e, where
+    1 - e x = s = u^k, k = 1/(1 - p): k |s g|^p with s g = s g_rest - e m
+    for e's multiplicity m.  shifted holds the other poles minus e, so
+    x - z = (e - z) - e s keeps its relative accuracy next to e."""
+    k = 1.0 / (1.0 - p)
+    s = u**k
+    v = k * np.abs(s * _g(-e * s, shifted) - e * m) ** p
+    if weighted:
+        v = v * (1.0 - s) ** p
+    return v
 
 
 def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
@@ -324,58 +330,47 @@ def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
     the true mean 2.27e-7 above it; lp_mean is 6.4e-9 from that true
     mean, which is the rounding of the pole sum where |g| nearly
     vanishes, raised to the power p.
+    A real pole e at p < 1 gets a window of width W = min(1/2, half the
+    distance to the nearest other pole), integrated in u (_window_values).
     At very large p the mass can sit in a layer narrower than any node
     (the README set's weighted mean at p = 1e6); a core that underflows
     to 0 everywhere raises ToleranceNotMet instead of reporting 0.
     """
+    p = spec.p
     angles = poles.angles
     pts = poles.points
-    has_plus = any(t == 0.0 for t in angles)
-    has_minus = any(t == math.pi for t in angles)
-    if (has_plus or has_minus) and spec.p >= 1.0:
+    # real poles by angle: points puts theta = pi at -1 + 1.2e-16i
+    ends = [(e, t) for e, t in ((1.0, 0.0), (-1.0, math.pi)) if t in angles]
+    if ends and p >= 1.0:
         return QuadratureResult(math.inf, 0.0, True, 0, 0)
 
-    p = spec.p
     # each off-axis pole's ladder: width 2 down to 1/8 of its height
     # (see the module docstring)
-    ladders = [(math.cos(t), 2.0, max(GRADE_MIN_WIDTH, abs(math.sin(t)) / 8.0), 0)
+    ladders = [(math.cos(t), 2.0, max(GRADE_MIN_WIDTH, abs(math.sin(t)) / 8.0))
                for t in angles if t != 0.0 and t != math.pi]
+    edge = {1.0: 1.0, -1.0: -1.0}
+    windows = []
+    for e, t in ends:
+        others = np.array([z for th, z in zip(angles, pts) if th != t])
+        d = min((abs(e - z) for z in others), default=1.0)
+        # W is not below eps / rel_tol, where the core's nodes next to e are
+        # misplaced by more than rel_tol of their panel width; a pole nearer
+        # than that lies in the window, where |s g| <= n since |x - z| >= s.
+        w = min(0.5, max(0.5 * d, np.finfo(float).eps / spec.rel_tol))
+        # the float edge fixes W exactly (1 - e edge is exact by
+        # Sterbenz), so the core and the window meet at one float
+        edge[e] = e * (1.0 - w)
+        w = 1.0 - e * edge[e]
+        ladders.append((e, 2.0, w))
+        f = functools.partial(_window_values, others - e, e, angles.count(t), p, spec.weighted)
+        windows.append((f, *_graded_panels(0.0, w ** (1.0 - p), [])))
 
-    lo, hi = -1.0, 1.0
-    tail_value = 0.0
-    tail_err = 0.0
-    for endpoint, present in ((1.0, has_plus), (-1.0, has_minus)):
-        if not present:
-            continue
-        mult = sum(1 for t in angles if t == (0.0 if endpoint > 0 else math.pi))
-        others = [z for z in pts if z != endpoint]
-        dmin = min((abs(endpoint - z) for z in others), default=1.0)
-        w = max(min(_TAIL_WINDOW, dmin / 16.0), GRADE_MIN_WIDTH)
-        # Re 1/(1-z) = 1/2 for every unit z, and likewise at -1, so the
-        # first-order coefficient is exactly (n - mult)/2.
-        v, err = _real_pole_tail(p, spec.weighted, mult, (poles.n - mult) / 2.0, w)
-        tail_value += v
-        tail_err += err
-        if endpoint > 0:
-            hi = 1.0 - w
-            ladders.append((hi, 0.5, w / 2.0, -1))
-        else:
-            lo = -1.0 + w
-            ladders.append((lo, 0.5, w / 2.0, +1))
-
-    a, b = _graded_panels(lo, hi, [0.0], ladders)
-    integrand = functools.partial(_mean_values, pts, p, spec.weighted)
-    core = _integrate(integrand, a, b, spec.rel_tol, spec.max_panels)
-    result = QuadratureResult(
-        core.value + tail_value,
-        core.error_estimate + tail_err,
-        False,
-        core.panels,
-        core.function_evals,
-    )
-    # the integrand is positive almost everywhere, so a zero core means it
+    core = functools.partial(_mean_values, pts, p, spec.weighted)
+    parts = [(core, *_graded_panels(edge[-1.0], edge[1.0], [0.0], ladders)), *windows]
+    result = _integrate(parts, spec.rel_tol, spec.max_panels)
+    # the integrand is positive almost everywhere, so a zero value means it
     # underflowed at every node and the engine took 0 <= rel_tol * 0 as met
-    if core.value == 0.0:
+    if result.value == 0.0:
         raise ToleranceNotMet(
             f"the integrand at p = {p!r} underflowed to 0 at every node", result=result
         )

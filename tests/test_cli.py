@@ -84,6 +84,12 @@ BAD_INPUT_FILES = [
     ("norms", '{"zeros": [[0.5, 0.1]], "leading": 2.0}'),
     ("norms", '{"zeros": [[NaN, 0.0]]}'),
     ("norms", '{"zeros": [[0.5, 0.1]], "leading": [Infinity, 0.0]}'),
+    # a string of digits, a boolean and a fractional count were read as
+    # numbers, and the command exited 0
+    ("measure", '{"angles": "123"}'),
+    ("verify", '{"angles": [true]}'),
+    ("measure", '{"n": 2.9, "angles": [0.5, 1.5]}'),
+    ("norms", '{"zeros": [[true, 0]]}'),
 ]
 
 

@@ -45,15 +45,16 @@ TWO_PI = 2.0 * math.pi
 
 
 def frozen_graded_cuts(lo, hi, breaks, ladders):
-    """The scalar ladder builder, verbatim."""
+    """The scalar ladder builder, verbatim but for the side column that
+    one-sided ladders used to carry."""
     pts = {lo, hi}
     for b in breaks:
         if lo < b < hi:
             pts.add(float(b))
-    for c, w, mw, sides in ladders:
+    for c, w, mw in ladders:
         if lo < c < hi:
             pts.add(float(c))
-        for s in ((-1.0, 1.0) if sides == 0 else (float(sides),)):
+        for s in (-1.0, 1.0):
             d = float(w)
             while d > mw:
                 q = c + s * d
@@ -213,7 +214,7 @@ def test_radial_panels_match_per_node_loop(seed, n, kind):
     ts = case_nodes(rng, thetas, 12)
     for u in np.exp(1j * (thetas[None, :] - ts[:, None])):
         y = np.abs(u.imag)
-        ladders = [(c, min(v, 2.0), max(1e-10, v / 8.0), 0) for c, v in zip(u.real, y)]
+        ladders = [(c, min(v, 2.0), max(1e-10, v / 8.0)) for c, v in zip(u.real, y)]
         cuts = frozen_graded_cuts(-1.0, 1.0, [0.0], ladders)
         assert_panels_equal(_graded_panels(-1.0, 1.0, [0.0], ladders), (cuts[:-1], cuts[1:]))
 
@@ -344,24 +345,26 @@ def test_level_array_matches_fsum_of_terms(n):
 def test_graded_panels_match_scalar_builder_on_seeded_ladders():
     # 300 one-row cases in the shapes lp_mean and the extremal kernel
     # build: two-sided ladders from width 2 down to 1/8 of the pole's
-    # height, one-sided tail ladders, clustered and coincident centers.
+    # height, ladders centred on a real pole at +-1 down to its window
+    # width W, with the core cut at the window edges, and clustered and
+    # coincident centers.
     rng = np.random.default_rng(21)
     for case in range(300):
         n = int(rng.integers(1, 65))
         thetas = case_thetas(rng, n, (("uniform", 0.0, 1e-12, 1e-9, math.pi))[case % 5])
         lo, hi = -1.0, 1.0
         ladders = [
-            (math.cos(t), 2.0, max(GRADE_MIN_WIDTH, abs(math.sin(t)) / 8.0), 0)
+            (math.cos(t), 2.0, max(GRADE_MIN_WIDTH, abs(math.sin(t)) / 8.0))
             for t in thetas
         ]
         if case % 3:
-            w = float(rng.choice((GRADE_MIN_WIDTH, 1e-10, 1e-8)))
+            w = float(rng.choice((0.5, 0.3, 1e-3, 1e-8, GRADE_MIN_WIDTH)))
             hi, lo = 1.0 - w, -1.0 + w
-            ladders += [(hi, 0.5, w / 2.0, -1), (lo, 0.5, w / 2.0, +1)]
+            ladders += [(1.0, 2.0, 1.0 - hi), (-1.0, 2.0, 1.0 + lo)]
         if case % 7 == 0:
             lo, hi = 0.0, math.pi
             ladders = [
-                (s, g, max(1e-6, g * 2.0**-12), 0)
+                (s, g, max(1e-6, g * 2.0**-12))
                 for s, g in zip(np.mod(thetas, math.pi), rng.uniform(1e-3, 1.0, n))
             ]
         breaks = [0.0, *rng.uniform(lo, hi, case % 3)]
@@ -370,13 +373,19 @@ def test_graded_panels_match_scalar_builder_on_seeded_ladders():
 
 
 def test_graded_panels_single_row_edge_cases():
-    # no ladders; a one-sided ladder whose center is outside (lo, hi)
+    # no ladders; ladders whose centers +-1 lie outside (lo, hi), whose
+    # cuts above min width all fall outside it, or whose width is its
+    # min width
     cuts = frozen_graded_cuts(0.0, 1.0, [0.5], [])
     assert_panels_equal(_graded_panels(0.0, 1.0, [0.5]), (cuts[:-1], cuts[1:]))
-    w = 1e-8
-    ladders = [(0.0, 0.5, 0.5 * w, +1)]
-    cuts = frozen_graded_cuts(w, 1.0, [], ladders)
-    assert_panels_equal(_graded_panels(w, 1.0, [], ladders), (cuts[:-1], cuts[1:]))
+    for lo, hi, ladders in (
+        (-0.5, 0.5, [(1.0, 2.0, 0.5), (-1.0, 2.0, 0.5)]),
+        (-1.0, 1.0 - 1e-8, [(1.0, 2.0, 1e-8)]),
+        (-0.25, 0.25, [(1.0, 0.5, 0.25)]),
+        (-1.0, 1.0, [(0.3, 1e-3, 1e-3)]),
+    ):
+        cuts = frozen_graded_cuts(lo, hi, [0.0], ladders)
+        assert_panels_equal(_graded_panels(lo, hi, [0.0], ladders), (cuts[:-1], cuts[1:]))
 
 
 class Captured(Exception):

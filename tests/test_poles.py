@@ -292,6 +292,28 @@ def test_json_count_mismatch_rejected():
         PoleSet.from_json('{"n": 3, "angles": [0.5]}')
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a string was read digit by digit, as poles at 1, 2 and 3 rad
+        '{"angles": "123"}',
+        # a boolean was read as the angle 1.0
+        '{"angles": [true, 0.5]}',
+        # a fractional n was truncated to match
+        '{"n": 2.9, "angles": [0.5, 1.5]}',
+        '{"n": true, "angles": [0.5]}',
+        '{"n": "1", "angles": [0.5]}',
+    ],
+)
+def test_json_rejects_non_numbers(text):
+    with pytest.raises(DomainError):
+        PoleSet.from_json(text)
+
+
+def test_json_integral_float_count_accepted():
+    assert PoleSet.from_json('{"n": 2.0, "angles": [0.5, 1]}').angles == (0.5, 1.0)
+
+
 def test_json_snap_tolerance_for_near_real_poles():
     # angles within 1e-14 of {0, pi} snap so divergence classification
     # stays deterministic for values read from files

@@ -203,6 +203,21 @@ def test_json_round_trip():
     assert back == poly
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a boolean part was read as 1
+        '{"zeros": [[true, 0]]}',
+        '{"zeros": [[0.5, 0.1]], "leading": [false, 1.0]}',
+        # a third part of the coefficient was dropped
+        '{"zeros": [[0.5, 0.1]], "leading": [2.0, 0.0, 1.0]}',
+    ],
+)
+def test_json_rejects_non_numbers(text):
+    with pytest.raises(DomainError):
+        DiskPolynomial.from_json(text)
+
+
 def test_random_polynomials_are_deterministic():
     a = random_disk_polynomial(np.random.default_rng(7), 5)
     b = random_disk_polynomial(np.random.default_rng(7), 5)

@@ -28,7 +28,7 @@ from logderiv import (
 )
 from logderiv.explorer import equally_spaced
 from logderiv.extremal import sharp_lp_mean, sharp_poles
-from logderiv.quadrature import _adaptive, _rule, mean_csv_row
+from logderiv.quadrature import _adaptive, _kronrod, _nodes, mean_csv_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,7 +40,6 @@ TWO_MINUS_HALF_PI = 0.4292036732051034  # int x^2 (x^2+1)^(-1)
 TWO_LN_2 = 1.3862943611198906  # conjugate pair +-i, unweighted: int 2|x|/(x^2+1)
 FOUR_MINUS_PI = 0.8584073464102069  # conjugate pair +-i, weighted: int 2x^2/(x^2+1)
 TWO_SQRT2 = 2.8284271247461903  # real pole, p=0.5: int |x-1|^(-1/2)
-REAL_POLE_P09 = 10.717734625362931  # real pole, p=0.9: 2^0.1/0.1
 
 # Monte-Carlo oracle, 1e7 samples, seed 99 (3 significant digits)
 MC_AREA = {1: 3.9964230362484283, 2: 5.129607655614626, 3: 5.6831865998292965}
@@ -86,8 +85,9 @@ def test_spec_validation():
 def test_gauss_kronrod_pair_is_exact_on_polynomials():
     # the embedded pair integrates monomials exactly through degree 22,
     # and its error estimate vanishes through the Gauss degree 13
+    h, x = _nodes(np.array([-1.0]), np.array([1.0]))
     for deg in range(23):
-        k, e = _rule(lambda x, d=deg: x**d, np.array([-1.0]), np.array([1.0]))
+        k, e = _kronrod(x**deg, h)
         exact = 0.0 if deg % 2 else 2.0 / (deg + 1)
         assert abs(k[0] - exact) <= 3e-15 * max(1.0, abs(exact))
         if deg <= 13:
@@ -134,16 +134,74 @@ def test_real_pole_divergence_is_structural():
 
 
 def test_real_pole_integrable_below_p1():
-    r = lp_mean(PoleSet((0.0,)), MeanSpec(p=0.5))
-    assert not r.divergent
-    assert r.value == pytest.approx(TWO_SQRT2, rel=1e-8)
+    for theta in (0.0, math.pi):
+        r = lp_mean(PoleSet((theta,)), MeanSpec(p=0.5))
+        assert not r.divergent
+        assert r.value == pytest.approx(TWO_SQRT2, rel=1e-8)
 
 
 def test_real_pole_near_divergence_exponent():
-    # p = 0.9 stresses the endpoint grading: the tail carries
-    # 10^(-1.6)-scale mass inside the last representable sliver
-    r = lp_mean(PoleSet((0.0,)), MeanSpec(p=0.9))
-    assert r.value == pytest.approx(REAL_POLE_P09, rel=1e-8)
+    # near p = 1 the mass 2^(1-p)/(1-p) piles up at the pole; the window's
+    # substitution s = u^(1/(1-p)) makes its integrand the constant
+    # 1/(1-p).  The pole at pi was once its own nearest other pole (its
+    # point is -1 + 1.2e-16i), which shrank the window and cost 1.5e-6.
+    for p in (0.5, 0.9, 0.99):
+        at_one = lp_mean(PoleSet((0.0,)), MeanSpec(p=p)).value
+        assert at_one == pytest.approx(2.0 ** (1.0 - p) / (1.0 - p), rel=1e-8)
+        at_minus_one = lp_mean(PoleSet((math.pi,)), MeanSpec(p=p)).value
+        assert at_minus_one == pytest.approx(at_one, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "theta,ref", [(1e-300, 20.0), (1e-15, 19.730058878409954), (1e-9, 18.925345038698946)]
+)
+def test_pole_next_to_a_real_pole(theta, ref):
+    # A window narrower than eps / rel_tol would leave the core's nodes
+    # next to +1 misplaced by more than rel_tol of their panel; a pole
+    # nearer than that sits inside the window instead, where |s g| <= n.
+    # The closed-form tail was 2.2% off at 1e-300, 0.8% at 1e-15 and
+    # 1.3e-5 at 1e-9.  References: the double pole's 2/(1-p), which a pole
+    # at 1e-300 moves by ~1e-270, and mpmath's tanh-sinh at 40 digits in
+    # the same u, split at u = (10^-j)^(1-p).
+    r = lp_mean(PoleSet((0.0, theta)), MeanSpec(p=0.9))
+    assert r.value == pytest.approx(ref, rel=1e-8)
+
+
+def real_pole_corpus():
+    """240 cases (angles, p): n = 1 to 11 with one or two poles at +1,
+    every other set with one at -1 as well, the rest uniform."""
+    rng = np.random.default_rng(7)
+    for i in range(60):
+        n = int(rng.integers(1, 12))
+        plus = min(n, int(rng.integers(1, 3)))
+        minus = min(n - plus, i % 2)
+        rest = tuple(rng.uniform(0.0, TWO_PI, n - plus - minus))
+        for p in (0.25, 0.5, 0.75, 0.9):
+            yield (0.0,) * plus + (math.pi,) * minus + rest, p
+
+
+def qaws_real_pole_mean(angles, p):
+    """The unweighted p-mean by QUADPACK's QAWS: (1 - x)^-p, and (1 + x)^-p
+    with a pole at -1, as the algebraic weight, and |g|^p with those
+    factors divided out as the bounded integrand."""
+    plus, minus = angles.count(0.0), angles.count(math.pi)
+    rest = np.exp(1j * np.array([t for t in angles if t not in (0.0, math.pi)]))
+
+    def f(x):
+        a, b = 1.0 - x, (1.0 + x if minus else 1.0)
+        return abs(a * b * np.sum(1.0 / (x - rest)) - plus * b + minus * a) ** p
+
+    return scipy.integrate.quad(f, -1.0, 1.0, weight="alg", wvar=(-p if minus else 0.0, -p),
+                                epsabs=0.0, epsrel=1e-12, limit=200)
+
+
+def test_real_poles_match_qaws_oracle():
+    # the closed-form tails missed 52 of these cases by up to 8.7e-7, each
+    # with a pole at -1 and p >= 0.75, under error estimates below 1e-8
+    for angles, p in real_pole_corpus():
+        ref, ref_err = qaws_real_pole_mean(angles, p)
+        assert ref_err <= 1e-11 * ref
+        assert lp_mean(PoleSet(angles), MeanSpec(p=p)).value == pytest.approx(ref, rel=1e-8)
 
 
 def test_error_estimate_honors_tolerance():
@@ -258,6 +316,19 @@ def test_tolerance_not_met_carries_partial_result():
     # result holds exactly the initial cuts, and the premise above is
     # that the default budget goes past them
     assert lp_mean(poles, MeanSpec(p=3.0, rel_tol=1e-8)).panels > partial.panels
+
+
+def test_tolerance_not_met_carries_every_part():
+    # the core and the windows at +1 and -1 share one panel budget, and a
+    # raise carries their sum: the windows hold all but ~2% of the mass
+    poles = PoleSet((0.0, math.pi, 2.0))
+    full = lp_mean(poles, MeanSpec(p=0.9))
+    with pytest.raises(ToleranceNotMet) as exc:
+        lp_mean(poles, MeanSpec(p=0.9, max_panels=4))
+    partial = exc.value.result
+    assert partial.panels < full.panels
+    assert partial.error_estimate > 1e-8 * partial.value
+    assert partial.value == pytest.approx(full.value, rel=1e-6)
 
 
 def test_nan_error_is_not_convergence():
