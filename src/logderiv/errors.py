@@ -36,7 +36,8 @@ class ToleranceNotMet(RuntimeError):
 
 
 class BudgetExhausted(RuntimeError):
-    """Search budget too small to run; carries the partial record in ``record``."""
+    """A search budget too small to run, or a level set that needs more
+    boxes than its budget; a search carries its partial record in ``record``."""
 
     def __init__(self, message, record=None):
         super().__init__(message)

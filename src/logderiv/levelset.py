@@ -1,27 +1,31 @@
 """Level sets of the level function F on [-1, 1].
 
-For a threshold tau = delta*n, the set {x : |F(x)| >= tau} is a finite
-union of closed intervals whose endpoints are roots of
+For a threshold tau = delta*n, the set {x : |F(x)| >= tau} is found by
+branch and bound on interval enclosures (Moore, Kearfott and Cloud,
+Introduction to Interval Analysis, SIAM 2009) of the Poisson form
+F = (n - S)/2, S = sum_k P_k: |F| >= tau iff S <= n - 2 tau or
+S >= n + 2 tau.
 
-    N(x) - tau*D(x)    or    N(x) + tau*D(x),
+Each kernel P_k is unimodal on [-1, 1], with its peak at
+cos(theta_k)/(1 + |sin(theta_k)|), so its range on a box comes from the
+box's endpoints and, when the box holds it, the peak.  The summed range,
+widened by a rounding margin, decides a box: a member when it lies at or
+below n - 2 tau or at or above n + 2 tau, a non-member when it lies
+strictly between; any other box is split 16 ways.  Where an enclosure of
+S' excludes 0 the box is monotone, and it and its children use the exact
+hull [S(a), S(b)]; so a tangency of |F| and tau costs thousands of boxes,
+not millions.  A box narrower than REFINE_WIDTH, or whose hull is no
+wider than the rounding band, is decided by eval_level_array at its
+midpoint, so an endpoint is within ~REFINE_WIDTH of its crossing.  A real
+pole's kernel is infinite at its own endpoint, so the box next to it is
+a member.
 
-where F = N/D over a common denominator.  Those roots, found as the
-companion-matrix eigenvalues of the expanded float coefficients, are
-the primary cuts.  Every membership question is then answered by
-eval_level_array, the one evaluator of F: a scan of each gap, its cuts
-included, adds to 1e-12 the crossings that the cuts missed or
-misplaced, and a gap between consecutive cuts is kept iff |F| >= tau
-at its midpoint.  Real poles of F make |F| blow up at the matching endpoint,
-so the adjacent gap is a member automatically.
-
-The result is not exact: the scan does not see a pair of crossings
-closer than its grid step that the cuts missed.  None is missed in
-1,100 seeded sets with n <= 40, and the two stretches ~2e-4 wide next
-to x = 1 that the benchmark's level sets used to lose (seed 703
-rand-n13-0 at delta = 0.4, seed 704 rand-n19-1 at delta = 0.1) are now
-cut by eigenvalues.  From n = 41 on, N -+ tau*D can have degree above
-80, where its monomial coefficients carry no correct digit, and
-level_set raises RootIsolationFailure.
+Boxes go through a worklist of their ends in chunks of _CHUNK_ELEMENTS
+box-pole pairs, so memory stays O(chunk) at any n.  A level set that
+takes more than _BOX_BUDGET boxes raises BudgetExhausted.  Level sets
+agree with dense sampling on 1,100 seeded sets with n = 1-40 and on
+random sets at n = 64, 256 and 1024; on sharp_poles(n) at those n the
+measure is within 1e-10 of the closed form.
 """
 
 from __future__ import annotations
@@ -31,19 +35,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import endpoint_window_width, level_measure_constant
-from .errors import DomainError
+from .errors import BudgetExhausted, DomainError
 from .intervals import IntervalUnion, intersect
-from .poles import PoleSet, eval_level_array, to_rational
-from .rootiso import isolate_roots
+from .poles import PoleSet, eval_level_array, pole_terms
+# Not called here: bench/tracing.py hooks levelset.to_rational and
+# levelset.isolate_roots by name, and fails on a missing one.
+from .poles import to_rational  # noqa: F401
+from .rootiso import isolate_roots  # noqa: F401
 
-# Width at which a bracket of a crossing of |F| = tau counts as refined.
+# Width below which a box is no longer split.
 REFINE_WIDTH = 1e-12
 
-# Points per gap of the scan for missed crossings, the gap's cuts
-# included.  Against dense sampling, at 65 points 8 of 1,100 seeded sets
-# (n <= 40) got a stretch 0.006-0.03 wide wrong inside a gap ~2 wide; at
-# 513 none does, for ~0.2 ms more per level set at n <= 20.
-_SCAN_POINTS = 513
+# Boxes one level set may examine before it raises BudgetExhausted.
+_BOX_BUDGET = 1_000_000
+
+# Box-pole pairs per chunk; a chunk's kernel arrays, at both ends of its
+# boxes, are 512 KiB each.
+_CHUNK_ELEMENTS = 1 << 15
+
+# Children per split box.
+_SPLIT = 16
 
 
 @dataclass(frozen=True)
@@ -74,46 +85,115 @@ def endpoint_window(n: int, delta: float) -> IntervalUnion:
     return IntervalUnion(((-1.0, -(1.0 - w)), (1.0 - w, 1.0)))
 
 
-def _missed_crossings(poles: PoleSet, tau: float, cuts: np.ndarray) -> np.ndarray:
-    """Crossings of |F| = tau that the cuts failed to record.
+def _kernels(x, side, offset, s2):
+    """P_k(x), d and den = d^2 + s2 at the points x (m,) for every pole,
+    each (m, n), with d = x - cos(theta_k) formed as in pole_terms."""
+    d = (x[:, None] + side) + offset
+    den = d * d + s2
+    p = ((1.0 - x) * (1.0 + x))[:, None] / den
+    p[np.isnan(p)] = np.inf  # 0/0: a real pole at its own endpoint
+    return p, d, den
 
-    The eigenvalues of float coefficients can lose or misplace a root
-    under coefficient noise.  Every gap at least 1e-10 wide is sampled
-    at _SCAN_POINTS equispaced points, its two cuts included so that a
-    misplaced cut is found too; each pair of neighbours whose memberships
-    (|F| >= tau) differ brackets a crossing, and the brackets are sampled
-    the same way until they are at most 1e-12 wide.  Returns the
-    midpoints of the final brackets.
+
+def _monotone(a, b, da, db, dena, denb, cos, s2, rel):
+    """Whether an enclosure of S' = sum_k P_k' excludes 0 on each box [a, b].
+
+    da, dena (db, denb) are the kernels' d and den at a (at b).  P_k' is
+    2 N_k / den_k^2 with N_k = cos_k (1 + x^2) - 2x, which falls on
+    [-1, 1]; so N_k ranges over [N_k(b), N_k(a)], and |N_k| <= 4 bounds
+    the rounding slack.  The bounds are those of S'/2.  A real pole's box
+    at its own endpoint gets an infinite slack, or NaN bounds, and is
+    never monotone.
     """
-    wide = np.flatnonzero(np.diff(cuts) >= 1e-10)
-    lo, hi = cuts[wide], cuts[wide + 1]
-    while lo.size and np.max(hi - lo) > REFINE_WIDTH:
-        grid = np.linspace(lo, hi, _SCAN_POINTS, axis=-1)
-        inside = np.abs(eval_level_array(poles, grid)) >= tau
-        i, j = np.nonzero(inside[:, :-1] != inside[:, 1:])
-        lo, hi = grid[i, j], grid[i, j + 1]
-    return 0.5 * (lo + hi)
+    dmin = np.where((da <= 0.0) & (db >= 0.0), s2, np.minimum(dena, denb)) ** 2
+    dmax = np.maximum(dena, denb) ** 2
+    na = cos * (1.0 + a * a)[:, None] - 2.0 * a[:, None]
+    nb = cos * (1.0 + b * b)[:, None] - 2.0 * b[:, None]
+    slack = rel * (4.0 / dmin).sum(axis=1)
+    lo = (nb / np.where(nb >= 0.0, dmax, dmin)).sum(axis=1)
+    hi = (na / np.where(na >= 0.0, dmin, dmax)).sum(axis=1)
+    return (lo > slack) | (hi < -slack)
+
+
+def _merge(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Disjoint boxes [a, b] merged into sorted intervals where they touch."""
+    if not a.size:
+        return a, b
+    order = np.argsort(a)
+    a, b = a[order], b[order]
+    gap = a[1:] > b[:-1]
+    return a[np.r_[True, gap]], b[np.r_[gap, True]]
 
 
 def level_set(poles: PoleSet, query: LevelQuery) -> IntervalUnion:
-    """{x in [-1, 1] : |F(x)| >= query.threshold} as an interval union."""
+    """{x in [-1, 1] : |F(x)| >= query.threshold} as an interval union.
+
+    Raises BudgetExhausted after _BOX_BUDGET boxes.
+    """
     if query.n != poles.n:
         raise DomainError(f"query built for n={query.n}, pole set has n={poles.n}")
-    tau = query.threshold
-    rat = to_rational(poles)
-    num = np.asarray(rat.numerator)
-    den = np.asarray(rat.denominator)
-    width = max(len(num), len(den))
-    num = np.pad(num, (0, width - len(num)))
-    den = np.pad(den, (0, width - len(den)))
+    n, tau = poles.n, query.threshold
+    _, side, offset, s2 = map(np.array, zip(*pole_terms(poles)))
+    cos = -(side + offset)
+    rel = (n + 16) * np.finfo(float).eps  # relative rounding margin of a kernel sum
+    low, high = n - 2.0 * tau, n + 2.0 * tau  # |F| >= tau iff S <= low or S >= high
+    chunk = max(1, _CHUNK_ELEMENTS // n)
 
-    roots = isolate_roots(num - tau * den) + isolate_roots(num + tau * den)
-    cuts = np.unique([-1.0, 1.0, *roots])
-    cuts = np.union1d(cuts, _missed_crossings(poles, tau, cuts))
-
-    a, b = cuts[:-1], cuts[1:]
-    member = np.abs(eval_level_array(poles, 0.5 * (a + b))) >= tau
-    return IntervalUnion(tuple(zip(a[member].tolist(), b[member].tolist())))
+    work = [(np.array([-1.0]), np.array([1.0]), np.array([False]))]
+    found_a, found_b, boxes = [], [], 0
+    # A real pole's kernel is infinite at its own endpoint (1 / 0).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sin = np.sqrt(s2)
+        peak_x, peak = cos / (1.0 + sin), 1.0 / sin  # where P_k is largest, and its value
+        while work:
+            a, b, mono = work.pop()
+            if a.size > chunk:
+                work.append((a[chunk:], b[chunk:], mono[chunk:]))
+                a, b, mono = a[:chunk], b[:chunk], mono[:chunk]
+            boxes += a.size
+            if boxes > _BOX_BUDGET:
+                raise BudgetExhausted(
+                    f"level set needs more than {_BOX_BUDGET} boxes (n={n}, delta={query.delta})")
+            m = a.size
+            p, d, den = _kernels(np.concatenate((a, b)), side, offset, s2)
+            pa, pb = p[:m], p[m:]
+            # Enclosure of S on each box: every P_k is unimodal, so its range
+            # comes from the endpoints and, when inside, its peak.  A
+            # monotone box takes the exact hull [S(a), S(b)] instead.
+            inside = (a[:, None] <= peak_x) & (peak_x <= b[:, None])
+            lo = np.minimum(pa, pb).sum(axis=1)
+            hi = np.where(inside, peak, np.maximum(pa, pb)).sum(axis=1)
+            if mono.any():
+                sa, sb = pa.sum(axis=1), pb.sum(axis=1)
+                lo = np.where(mono, np.minimum(sa, sb), lo)
+                hi = np.where(mono, np.maximum(sa, sb), hi)
+            lo_w, hi_w = lo * (1.0 - rel), hi * (1.0 + rel)
+            member = (hi_w <= low) | (lo_w >= high)
+            undecided = ~member & ((lo_w <= low) | (hi_w >= high))
+            # A box too narrow, or whose hull is no wider than the rounding
+            # band, is decided by F at its midpoint.
+            leaf = undecided & ((b - a <= REFINE_WIDTH) | (hi * (1.0 - rel) <= lo * (1.0 + rel)))
+            if leaf.any():
+                member[leaf] = np.abs(eval_level_array(poles, 0.5 * (a[leaf] + b[leaf]))) >= tau
+            found_a.append(a[member])
+            found_b.append(b[member])
+            split = undecided & ~leaf
+            if not split.any():
+                continue
+            test = split & ~mono
+            if test.any():
+                mono = mono.copy()
+                mono[test] = _monotone(a[test], b[test], d[:m][test], d[m:][test],
+                                       den[:m][test], den[m:][test], cos, s2, rel)
+            a, b, mono = a[split], b[split], mono[split]
+            edges = a[:, None] + (b - a)[:, None] * (np.arange(_SPLIT + 1) / _SPLIT)
+            edges[:, -1] = b
+            work.append((edges[:, :-1].ravel(), edges[:, 1:].ravel(), np.repeat(mono, _SPLIT)))
+            if len(found_a) > 64:  # keep the found boxes merged
+                a, b = _merge(np.concatenate(found_a), np.concatenate(found_b))
+                found_a, found_b = [a], [b]
+    a, b = _merge(np.concatenate(found_a), np.concatenate(found_b))
+    return IntervalUnion(tuple(zip(a.tolist(), b.tolist())))
 
 
 def level_set_for(poles: PoleSet, delta: float) -> IntervalUnion:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -136,15 +136,32 @@ def poisson_kernel(v_angle: float, x: float) -> float:
     return (1.0 - x * x) / den
 
 
+def pole_terms(poles: PoleSet) -> Iterator[tuple]:
+    """Per-pole constants of F's terms, in pole order: (real, side, offset, s2).
+
+    For a non-real pole, d = x - cos(theta) is formed without cancellation
+    as (x + side) + offset: side -1 and offset 2 sin^2(theta/2) when
+    cos(theta) >= 0, side +1 and offset -2 cos^2(theta/2) otherwise; s2 is
+    sin^2(theta).  A real pole (theta = 0 or pi) has real True, offset
+    and s2 exactly 0, and the term x / (x + side).
+    """
+    for t in poles.angles:
+        if t == 0.0 or t == math.pi:
+            yield True, -1.0 if t == 0.0 else 1.0, 0.0, 0.0
+        elif math.cos(t) >= 0.0:
+            yield False, -1.0, 2.0 * math.sin(0.5 * t) ** 2, math.sin(t) ** 2
+        else:
+            yield False, 1.0, -2.0 * math.cos(0.5 * t) ** 2, math.sin(t) ** 2
+
+
 def eval_level_array(poles: PoleSet, xs: np.ndarray) -> np.ndarray:
     """F(x) = Re(x * g(x)) over an array of abscissae in [-1, 1].
 
     Adds the per-pole terms in pole order into one accumulator, so memory
     is O(points) at any n.  A non-real pole's term is x d / (d^2 +
-    sin^2 theta) with d = x - cos theta formed without cancellation, as
-    (x - 1) + 2 sin^2(theta/2) when cos theta >= 0 and as
-    (x + 1) - 2 cos^2(theta/2) otherwise; so a pole near the real axis
-    keeps full relative accuracy and F(+-1) = n/2 for non-real poles.
+    sin^2 theta) with d = x - cos theta formed without cancellation (see
+    pole_terms); so a pole near the real axis keeps full relative
+    accuracy and F(+-1) = n/2 for non-real poles.
     Raises DomainError unless every x satisfies |x| <= 1 (NaN fails
     too).  A real pole's own endpoint produces +-inf instead of raising,
     which is the convenient convention for membership sampling.
@@ -157,18 +174,14 @@ def eval_level_array(poles: PoleSet, xs: np.ndarray) -> np.ndarray:
     d = np.empty(x.shape)
     den = np.empty(x.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t in poles.angles:
-            if t == 0.0:
-                np.divide(x, below, out=d)
-            elif t == math.pi:
-                np.divide(x, above, out=d)
+        for real, side, offset, s2 in pole_terms(poles):
+            base = below if side < 0.0 else above
+            if real:
+                np.divide(x, base, out=d)
             else:
-                if math.cos(t) >= 0.0:
-                    np.add(below, 2.0 * math.sin(0.5 * t) ** 2, out=d)
-                else:
-                    np.subtract(above, 2.0 * math.cos(0.5 * t) ** 2, out=d)
+                np.add(base, offset, out=d)
                 np.multiply(d, d, out=den)
-                den += math.sin(t) ** 2
+                den += s2
                 d *= x
                 d /= den
             out += d
@@ -201,7 +214,11 @@ def _grouped_cosines(angles: Sequence[float]) -> list:
 
 
 def to_rational(poles: PoleSet) -> RationalLevelFunction:
-    """Assemble F = N/D from the grouped per-pole factors."""
+    """Assemble F = N/D from the grouped per-pole factors.
+
+    No caller in src/: level sets use branch and bound on F.  Kept for
+    the benchmark, whose tracing hooks levelset.to_rational by name.
+    """
     plus = sum(1 for t in poles.angles if t == 0.0)
     minus = sum(1 for t in poles.angles if t == math.pi)
     groups = _grouped_cosines(poles.angles)

@@ -1,11 +1,14 @@
 """Level sets of |Re(x g(x))|, their measure, and the endpoint window."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from logderiv import (
+    BudgetExhausted,
     DomainError,
     LevelQuery,
     PoleSet,
@@ -15,8 +18,13 @@ from logderiv import (
     level_measure_constant,
     level_set,
     level_set_for,
+    sharp_level_set,
+    sharp_poles,
     window_concentration,
 )
+from logderiv import levelset
+from logderiv.cli import main
+from test_poles import _exact_level
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,7 +156,8 @@ def test_window_concentration_guarantee():
 
 
 # Dense sampling: |F| at 200,001 equispaced points of [-1, 1], in the
-# Poisson form F = (n - sum_k P_k)/2, which level_set never uses.
+# Poisson form F = (n - sum_k P_k)/2 with the kernels' denominators
+# expanded as 1 - 2 a x + x^2, which level_set never evaluates.
 DENSE_X = np.linspace(-1.0, 1.0, 200_001)
 DENSE_H = 2.0 / 200_000
 
@@ -229,3 +238,115 @@ def test_level_set_finds_holes_next_to_one(seed, n, rep, delta, hole):
     ps = _audit_set(seed, n, rep)
     x = np.linspace(hole - 2e-4, 1.0, 20_001)
     assert disagreement(ps, delta, level_set_for(ps, delta), x) <= 1e-6
+
+
+# 15 poles from a seeded stress corpus; the eleventh lies 6.3e-5 from -1
+NEAR_MINUS_ONE = (
+    3.4596643728370435, 2.5023641621569417, 4.2587495335494685, 5.29150426095125,
+    0.8795923034707119, 0.2506787983293764, 2.8878664144214827, 1.6946325572724228,
+    5.561609440481529, 1.657711681530857, 3.1415293201116823, 3.148179442163383,
+    5.246470453655912, 2.8471780484289773, 4.499698869068114,
+)
+
+
+def test_level_set_finds_hole_next_to_minus_one():
+    # |F| < tau on (-1 + 6.0e-9, -1 + 5.4e-8); the eigenvalue cuts lost
+    # both crossings and the gap scan's step was ~2.5e-3
+    ps = PoleSet(NEAR_MINUS_ONE)
+    u = level_set_for(ps, 0.4)
+    tau = Fraction(0.4 * 15)
+    x = [-1.0 + h for h in (1e-9, 3e-9, 1.5e-8, 3e-8, 1e-7, 3e-7)]
+    exact = [abs(_exact_level(ps, t)) >= tau for t in x]
+    assert exact == [True, True, False, False, True, True]
+    assert [u.contains_point(t) for t in x] == exact
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_level_set_for_answers_at_large_n(n):
+    # eigenvalue cuts from the degree-2n polynomials N -+ tau*D raised
+    # RootIsolationFailure from n = 41 on
+    ps = PoleSet(tuple(np.random.default_rng([2026, n]).uniform(0.0, TWO_PI, n)))
+    err, tol = dense_error(ps, 0.25, level_set_for(ps, 0.25))
+    assert err <= tol
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_sharp_level_set_measure_at_large_n(n):
+    got = level_set_for(sharp_poles(n), 0.25).measure
+    assert got == pytest.approx(sharp_level_set(n, 0.25).measure, abs=1e-10)
+
+
+def test_level_set_tangent_at_endpoints():
+    # F = x^2/(x^2 + 1) reaches 1/2 only at x = +-1, where |F| touches tau
+    ps = PoleSet((math.pi / 2.0,))
+    u = level_set_for(ps, 0.5)
+    assert u.measure <= 1e-11
+    err, tol = dense_error(ps, 0.5, u)
+    assert err <= tol
+
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _tangent_case(k: int) -> tuple:
+    """The k-th set of 6 poles drawn from default_rng(7) whose |F| has an
+    interior local maximum, and delta = that maximum / 6: the level set
+    touches its threshold there."""
+    rng = np.random.default_rng(7)
+    x = np.linspace(-1.0, 1.0, 2001)
+    while True:
+        ps = PoleSet(tuple(rng.uniform(0.0, TWO_PI, 6)))
+        f = np.abs(eval_level_array(ps, x))
+        peaks = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))
+        if not peaks.size:
+            continue
+        if k == 0:
+            break
+        k -= 1
+    lo, hi = x[peaks[0]], x[peaks[0] + 2]
+    for _ in range(100):  # golden section for the maximum of |F|
+        m1, m2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+        if abs(eval_level_array(ps, m1)) < abs(eval_level_array(ps, m2)):
+            lo = m1
+        else:
+            hi = m2
+    return ps, abs(float(eval_level_array(ps, 0.5 * (lo + hi)))) / 6.0
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_level_set_resolves_interior_tangency(k, monkeypatch):
+    # without the monotone test a tangency took 12-25 million boxes
+    ps, delta = _tangent_case(k)
+    monkeypatch.setattr(levelset, "_BOX_BUDGET", 20_000)
+    tracemalloc.start()
+    try:
+        u = level_set_for(ps, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+    err, tol = dense_error(ps, delta, u)
+    assert err <= tol
+
+
+def test_level_set_memory_at_n_256():
+    # boxes go through the worklist in chunks: keeping every chunk's
+    # kernel values alive took the peak to 7.9 MiB
+    ps = PoleSet(tuple(np.random.default_rng([2026, 256]).uniform(0.0, TWO_PI, 256)))
+    tracemalloc.start()
+    try:
+        level_set_for(ps, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+def test_box_budget_raises_and_exits_3(monkeypatch, tmp_path):
+    ps = PoleSet(tuple(np.random.default_rng([2026, 8]).uniform(0.0, TWO_PI, 8)))
+    monkeypatch.setattr(levelset, "_BOX_BUDGET", 100)
+    with pytest.raises(BudgetExhausted):
+        level_set_for(ps, 0.25)
+    path = tmp_path / "p.json"
+    path.write_text(ps.to_json())
+    assert main(["measure", "--poles", str(path)]) == 3
