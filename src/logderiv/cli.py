@@ -189,6 +189,12 @@ def cmd_sharpness(args) -> int:
     return 0 if ok else 1
 
 
+def _norm_value(log_norm: float) -> Optional[float]:
+    """A norm from its log; None (null in JSON) outside the normal floats."""
+    lo, hi = math.log(sys.float_info.min), math.log(sys.float_info.max)
+    return math.exp(log_norm) if lo <= log_norm <= hi else None
+
+
 def _norm_report(poly: DiskPolynomial, delta: float) -> dict:
     quarter, imbalance = check_norm_bounds(poly)
     ratios = {}
@@ -198,13 +204,11 @@ def _norm_report(poly: DiskPolynomial, delta: float) -> dict:
         except ZeroAtEndpoint:
             ratios[str(at)] = None
     positivity = check_two_sided_positivity(poly, delta)
-    endpoint_ok = all(
-        r is None or r >= poly.n / 2.0 - 1e-9 for r in ratios.values()
-    )
+    endpoint_ok = all(r is None or r >= poly.n / 2.0 - 1e-9 for r in ratios.values())
     return {
         "n": poly.n,
-        "norm": quarter.norm,
-        "deriv_norm": quarter.deriv_norm,
+        "norm": _norm_value(quarter.log_norm),
+        "deriv_norm": _norm_value(quarter.log_deriv_norm),
         "quarter_ok": quarter.ok,
         "imbalance_factor": imbalance.bound_factor,
         "imbalance_ok": imbalance.ok,
@@ -233,8 +237,9 @@ def cmd_norms(args) -> int:
     if args.format == "csv":
         lines = ["index,n,norm,deriv_norm,quarter_ok,imbalance_ok,endpoint_ok,positivity_ok"]
         for i, r in enumerate(reports):
+            norm, dnorm = ("" if v is None else repr(v) for v in (r["norm"], r["deriv_norm"]))
             lines.append(
-                f"{i},{r['n']},{r['norm']!r},{r['deriv_norm']!r},"
+                f"{i},{r['n']},{norm},{dnorm},"
                 f"{int(r['quarter_ok'])},{int(r['imbalance_ok'])},"
                 f"{int(r['endpoint_ok'])},{int(r['positivity_ok'])}"
             )
@@ -311,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, default=3)
     sp.set_defaults(fn=cmd_witness)
 
-    sp = sub.add_parser("measure", help="level set (root-isolated cuts, membership by F) and endpoint window")
+    sp = sub.add_parser("measure", help="level set (branch and bound on F) and endpoint window")
     common(sp, poles=True, delta=0.25)
     sp.set_defaults(fn=cmd_measure)
 

@@ -264,6 +264,34 @@ def test_norms_from_polynomial_file(tmp_path):
     assert reports[0]["quarter_ok"] and reports[0]["imbalance_ok"]
 
 
+@pytest.mark.parametrize("n", [1, 1100])
+@pytest.mark.parametrize("root", [1.0, -1.0])
+def test_norms_on_powers_of_endpoint_factor(n, root, tmp_path):
+    # p = (z - root)^n; past n = 1023 the norms leave the float range and
+    # print as null in JSON and as empty fields in CSV
+    poly = tmp_path / "poly.json"
+    poly.write_text(DiskPolynomial((root,) * n).to_json())
+    proc = run_cli("norms", "--poles", str(poly))
+    assert proc.returncode == 0, proc.stderr
+    assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout
+    (r,) = json.loads(proc.stdout)
+    assert r["ok"] and r["quarter_ok"] and r["imbalance_ok"]
+    assert r["endpoint_ratios"][str(int(root))] is None
+    assert r["endpoint_ratios"][str(-int(root))] == pytest.approx(n / 2.0, rel=1e-12)
+    assert r["positivity"] == pytest.approx([1.0, 1.0], abs=1e-12)
+    if n == 1:
+        assert (r["norm"], r["deriv_norm"]) == pytest.approx((2.0, 1.0), rel=1e-12)
+    else:
+        assert r["norm"] is None and r["deriv_norm"] is None
+    proc = run_cli("norms", "--poles", str(poly), "--format", "csv")
+    assert proc.returncode == 0, proc.stderr
+    norm, dnorm = proc.stdout.splitlines()[1].split(",")[2:4]
+    if n == 1:
+        assert (float(norm), float(dnorm)) == pytest.approx((2.0, 1.0), rel=1e-12)
+    else:
+        assert norm == dnorm == ""
+
+
 def test_explore_reruns_are_byte_identical(tmp_path):
     out = tmp_path / "study.csv"
     args = (

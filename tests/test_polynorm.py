@@ -16,6 +16,11 @@ from logderiv import (
     random_disk_polynomial,
     zero_counts,
 )
+from logderiv.polynorm import _evaluator, _log_abs
+
+
+def log_abs(poly, xs, derivative=False):
+    return _log_abs(_evaluator(poly), xs, derivative)[0]
 
 
 def test_construction_validation():
@@ -35,8 +40,8 @@ def test_eval_matches_numpy_polyval():
         poly = random_disk_polynomial(rng, n)
         coeffs = np.poly(np.array(poly.zeros)) * poly.leading
         xs = rng.uniform(-1.0, 1.0, 30)
-        mine = poly.eval(xs)
-        ref = np.polyval(coeffs, xs)
+        mine = np.exp(log_abs(poly, xs))
+        ref = np.abs(np.polyval(coeffs, xs))
         assert np.max(np.abs(mine - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
 
 
@@ -48,26 +53,31 @@ def test_deriv_matches_numpy_polyder():
         coeffs = np.poly(np.array(poly.zeros)) * poly.leading
         dcoeffs = np.polyder(coeffs)
         xs = rng.uniform(-1.0, 1.0, 30)
-        mine = poly.eval_deriv(xs)
-        ref = np.polyval(dcoeffs, xs)
+        mine = np.exp(log_abs(poly, xs, derivative=True))
+        ref = np.abs(np.polyval(dcoeffs, xs))
         assert np.max(np.abs(mine - ref)) <= 1e-11 * (1.0 + np.max(np.abs(ref)))
 
 
 def test_deriv_is_exact_at_repeated_zeros():
     poly = DiskPolynomial((0.5, 0.5, -0.25))
-    # p = (x-1/2)^2 (x+1/4); p'(1/2) = 0 exactly by the product rule
-    assert poly.eval_deriv(0.5) == 0.0
+    # p = (x-1/2)^2 (x+1/4); p'(1/2) = 0 exactly by the product rule, and
+    # at the simple zero p'(-1/4) = (-3/4)^2 comes from the other factors
+    lp, ld = log_abs(poly, [0.5, -0.25]), log_abs(poly, [0.5, -0.25], derivative=True)
+    assert lp[0] == lp[1] == -math.inf
+    assert ld[0] == -math.inf
+    assert math.exp(ld[1]) == pytest.approx(0.5625, rel=1e-15)
 
 
 def test_norm_examples():
-    assert cheb_norm(DiskPolynomial((0.0, 0.0))) == pytest.approx(1.0, rel=1e-12)
-    assert cheb_norm(DiskPolynomial((0.0, 0.0)), derivative=True) == pytest.approx(
-        2.0, rel=1e-12
-    )
+    def norm(poly, derivative=False):
+        return math.exp(cheb_norm(poly, derivative=derivative))
+
+    assert norm(DiskPolynomial((0.0, 0.0))) == pytest.approx(1.0, rel=1e-12)
+    assert norm(DiskPolynomial((0.0, 0.0)), derivative=True) == pytest.approx(2.0, rel=1e-12)
     pair = DiskPolynomial((1j, -1j))
-    assert cheb_norm(pair) == pytest.approx(2.0, rel=1e-12)
-    assert cheb_norm(pair, derivative=True) == pytest.approx(2.0, rel=1e-12)
-    assert cheb_norm(DiskPolynomial((1.0,))) == pytest.approx(2.0, rel=1e-12)
+    assert norm(pair) == pytest.approx(2.0, rel=1e-12)
+    assert norm(pair, derivative=True) == pytest.approx(2.0, rel=1e-12)
+    assert norm(DiskPolynomial((1.0,))) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_norm_against_dense_scan():
@@ -76,12 +86,13 @@ def test_norm_against_dense_scan():
     for _ in range(20):
         n = int(rng.integers(1, 9))
         poly = random_disk_polynomial(rng, n)
+        coeffs = np.poly(np.array(poly.zeros)) * poly.leading
         for derivative in (False, True):
-            f = poly.eval_deriv if derivative else poly.eval
+            c = np.polyder(coeffs) if derivative else coeffs
             brute = 0.0
             for block in np.array_split(xs, 8):
-                brute = max(brute, float(np.max(np.abs(f(block)))))
-            mine = cheb_norm(poly, derivative=derivative)
+                brute = max(brute, float(np.max(np.abs(np.polyval(c, block)))))
+            mine = math.exp(cheb_norm(poly, derivative=derivative))
             assert mine >= brute - 1e-12 * brute
             assert mine == pytest.approx(brute, rel=1e-8)
 
@@ -89,8 +100,8 @@ def test_norm_against_dense_scan():
 def test_quarter_bound_examples():
     rep = check_norm_bounds(DiskPolynomial((0.0, 0.0)))[0]
     assert rep.ok
-    assert rep.deriv_norm == pytest.approx(2.0, rel=1e-12)
-    assert rep.norm == pytest.approx(1.0, rel=1e-12)
+    assert math.exp(rep.log_deriv_norm) == pytest.approx(2.0, rel=1e-12)
+    assert math.exp(rep.log_norm) == pytest.approx(1.0, rel=1e-12)
     assert check_norm_bounds(DiskPolynomial((1j, -1j)))[0].ok
 
 
@@ -102,7 +113,7 @@ def test_quarter_bound_single_zero_sweep():
         rep = check_norm_bounds(DiskPolynomial((r * complex(math.cos(phi), math.sin(phi)),)))[0]
         assert rep.ok
         # degree one: the true ratio never drops below 1/2
-        assert rep.deriv_norm >= 0.5 * rep.norm - 1e-12
+        assert math.exp(rep.log_deriv_norm) >= 0.5 * math.exp(rep.log_norm) - 1e-12
 
 
 def test_quarter_bound_random_sweep():
@@ -167,7 +178,8 @@ def test_endpoint_ratio_floor_sweep():
     for _ in range(60):
         n = int(rng.integers(1, 9))
         poly = random_disk_polynomial(rng, n)
-        if abs(poly.eval(1.0)) < 1e-12 or abs(poly.eval(-1.0)) < 1e-12:
+        coeffs = np.poly(np.array(poly.zeros))
+        if abs(np.polyval(coeffs, 1.0)) < 1e-12 or abs(np.polyval(coeffs, -1.0)) < 1e-12:
             continue
         assert endpoint_ratio(poly, 1) >= n / 2.0 - 1e-9
         assert endpoint_ratio(poly, -1) >= n / 2.0 - 1e-9
@@ -178,16 +190,56 @@ def test_two_sided_positivity_pure_power():
         rep = check_two_sided_positivity(DiskPolynomial((0.0, 0.0, 0.0)), delta)
         assert rep.ok
         assert rep.measure_minus > 0.0 and rep.measure_plus > 0.0
+        # |g| = 3/|x| >= 3 > 3 delta everywhere, and x = 0 is a zero
+        assert rep.measure_minus == pytest.approx(1.0, abs=1e-12)
+        assert rep.measure_plus == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_sided_positivity_worked_example():
     rep = check_two_sided_positivity(DiskPolynomial((1j, -1j)), 0.4)
     assert rep.ok
+    # |g| = 2|x|/(1 + x^2) >= 0.8 exactly when |x| >= 1/2
+    assert rep.measure_minus == pytest.approx(0.5, abs=1e-12)
+    assert rep.measure_plus == pytest.approx(0.5, abs=1e-12)
 
 
 def test_two_sided_positivity_small_delta_fills_interval():
     rep = check_two_sided_positivity(DiskPolynomial((1j, -1j)), 1e-6)
     assert rep.measure_minus > 0.95 and rep.measure_plus > 0.95
+
+
+@pytest.mark.parametrize("n", [1, 1100])
+@pytest.mark.parametrize("root", [1.0, -1.0])
+def test_powers_of_endpoint_factor(n, root):
+    # p = (z - root)^n: ||p|| = 2^n and ||p'|| = n 2^(n-1), both at -root;
+    # a product of the factors overflows past n = 1023
+    poly = DiskPolynomial((root,) * n)
+    quarter, imbalance = check_norm_bounds(poly)
+    assert quarter.ok and imbalance.ok
+    assert quarter.log_norm == pytest.approx(n * math.log(2.0), rel=1e-12)
+    # at n = 1 the log is 0, and approx's default 1e-12 absolute slack is
+    # the norm's relative error
+    assert quarter.log_deriv_norm == pytest.approx(math.log(n) + (n - 1) * math.log(2.0), rel=1e-12)
+    assert endpoint_ratio(poly, -int(root)) == pytest.approx(n / 2.0, rel=1e-12)
+    rep = check_two_sided_positivity(poly, 0.4)
+    assert rep.measure_minus == pytest.approx(1.0, abs=1e-12)
+    assert rep.measure_plus == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [2.0**900, 2.0**-900])
+def test_norm_verdicts_ignore_leading_scale(scale):
+    rng = np.random.default_rng(181)
+    polys = [DiskPolynomial((1.0,) * 1100), DiskPolynomial((-1.0,) * 3)]
+    polys += [random_disk_polynomial(rng, int(rng.integers(1, 30))) for _ in range(10)]
+    for poly in polys:
+        base = check_norm_bounds(poly)
+        scaled = check_norm_bounds(DiskPolynomial(poly.zeros, leading=scale))
+        assert [r.ok for r in scaled] == [r.ok for r in base] == [True, True]
+        gap, scaled_gap = (r[0].log_deriv_norm - r[0].log_norm for r in (base, scaled))
+        # the scaled logs move by ~620: allow rounding in their last bits
+        assert abs(scaled_gap - gap) <= 8 * math.ulp(
+            max(abs(scaled[0].log_norm), abs(scaled[0].log_deriv_norm))
+        )
 
 
 def test_positivity_delta_domain():
