@@ -10,8 +10,8 @@ A heavy cluster of poles near an endpoint forces the kernel sum high
 configuration keeps the kernel sum low near the endpoints
 (F > delta n on two endpoint bands).  The constructor classifies the
 poles into threshold bands, picks the branch, and emits a certificate
-whose witness interval can be re-audited pointwise by anyone, with no
-trust in the construction.
+whose witness anyone can re-audit, with no trust in the construction,
+by the branch and bound that finds level sets.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ from typing import List, Optional, Tuple
 from .bounds import level_measure_constant
 from .errors import DomainError, PreconditionViolation
 from .intervals import IntervalUnion
-from .levelset import endpoint_window
+from .levelset import endpoint_window, level_members
 from .poles import PoleSet, eval_level_array, poisson_kernel
-
-import numpy as np
 
 SIDE_PLUS = "side-plus"
 SIDE_MINUS = "side-minus"
@@ -255,32 +253,19 @@ def build_certificate(poles: PoleSet, delta: float, m: int = 3) -> Certificate:
     n, rho = part.n, part.rho
     alphas = part.alphas()
     total = math.fsum(a for a, _, _ in alphas)
-    guarantee = delta * n
     if total >= 1.0:
         plus = math.fsum(ap for _, ap, _ in alphas)
         minus = math.fsum(am for _, _, am in alphas)
         side_plus = plus >= minus
         lo, hi = common_segment(rho)
         witness = IntervalUnion(((lo, hi),) if side_plus else ((-hi, -lo),))
-        return Certificate(
-            case_tag=SIDE_PLUS if side_plus else SIDE_MINUS,
-            n=n,
-            m=m,
-            delta=delta,
-            rho=rho,
-            band_scale=part.band_scale,
-            h_table=part.h_table,
-            alpha_table=tuple(alphas),
-            witness=witness,
-            guarantee=guarantee,
-            guaranteed_measure=witness.measure,
-            edge_notes=part.edge_notes,
-        )
-    half = level_measure_constant(delta) / (2.0 * n ** (1.0 + 1.0 / (m + 1.0)))
-    cutoff = 1.0 - half
-    witness = IntervalUnion(((-1.0, -cutoff), (cutoff, 1.0)))
+        case_tag, measure = (SIDE_PLUS if side_plus else SIDE_MINUS), witness.measure
+    else:
+        cutoff = 1.0 - level_measure_constant(delta) / (2.0 * n ** (1.0 + 1.0 / (m + 1.0)))
+        witness = IntervalUnion(((-1.0, -cutoff), (cutoff, 1.0)))
+        case_tag, measure = ENDPOINT, level_measure_constant(delta) / n ** (1.0 + 1.0 / (m + 1.0))
     return Certificate(
-        case_tag=ENDPOINT,
+        case_tag=case_tag,
         n=n,
         m=m,
         delta=delta,
@@ -289,8 +274,8 @@ def build_certificate(poles: PoleSet, delta: float, m: int = 3) -> Certificate:
         h_table=part.h_table,
         alpha_table=tuple(alphas),
         witness=witness,
-        guarantee=guarantee,
-        guaranteed_measure=level_measure_constant(delta) / n ** (1.0 + 1.0 / (m + 1.0)),
+        guarantee=delta * n,
+        guaranteed_measure=measure,
         edge_notes=part.edge_notes,
     )
 
@@ -306,14 +291,28 @@ class VerificationReport:
         return self.ok
 
 
+def _first_gap(witness: IntervalUnion, proven: IntervalUnion) -> Tuple[float, float]:
+    """The first part of the witness that proven, a subset of it, leaves out."""
+    for lo, hi in witness.intervals:
+        inner = [iv for iv in proven.intervals if lo <= iv[0] and iv[1] <= hi]
+        if not inner:
+            return lo, hi
+        if inner != [(lo, hi)]:
+            gaps = zip([lo] + [b for _, b in inner], [a for a, _ in inner] + [hi])
+            return next(g for g in gaps if g[0] < g[1])
+
+
 def verify_certificate(poles: PoleSet, cert: Certificate) -> VerificationReport:
     """Re-audit a certificate against the raw pole set.
 
-    Checks |F| >= guarantee at 1000 equispaced points, both endpoints
-    included, of every witness interval (strict > for the endpoint
-    branch, tolerance 1e-9 for the side branches), witness containment
-    in the endpoint window, and the recorded-measure bookkeeping.
-    Returns a report that is truthy iff everything holds.
+    pointwise-level proves |F| > guarantee (endpoint branch) or |F| >=
+    guarantee - 1e-9 (side branches) on the witness by level_members,
+    level_set's branch and bound, up to its rounding margin; boxes
+    narrower than 1e-12 are decided at their midpoints.  On a failure,
+    first_failure is a point of the first unproven part of the witness,
+    with |F| there.  Also checks witness containment in the endpoint
+    window and the recorded-measure bookkeeping.  Returns a report that
+    is truthy iff everything holds; raises BudgetExhausted as level_set.
     """
     checks: List[Tuple[str, bool]] = []
     notes: List[str] = []
@@ -328,24 +327,17 @@ def verify_certificate(poles: PoleSet, cert: Certificate) -> VerificationReport:
     )
     checks.append(("metadata-consistent", ok_meta))
 
-    strict = cert.case_tag == ENDPOINT
-    tol = 0.0 if strict else 1e-9
-    ok_points = True
+    strict = cert.case_tag == ENDPOINT  # then |F| >= tau means |F| > guarantee
+    tau = math.nextafter(cert.guarantee, math.inf) if strict else cert.guarantee - 1e-9
     if cert.witness.is_empty:
         notes.append("empty witness: pointwise check is vacuous")
-    for lo, hi in cert.witness.intervals:
-        xs = np.linspace(lo, hi, 1000)  # lo and hi exactly, in order
-        vals = np.abs(eval_level_array(poles, xs))
-        good = (vals > cert.guarantee) if strict else (vals >= cert.guarantee - tol)
-        if not bool(good.all()):
-            ok_points = False
-            i = int(np.argmin(good))
-            if first_failure is None:
-                first_failure = (float(xs[i]), float(vals[i]))
-            notes.append(
-                f"level check failed at x={xs[i]!r}: |F|={vals[i]!r} vs {cert.guarantee!r}"
-            )
-            break
+    proven = level_members(poles, tau, cert.witness.intervals)
+    ok_points = proven.contains(cert.witness)
+    if not ok_points:
+        x = 0.5 * sum(_first_gap(cert.witness, proven))
+        val = float(abs(eval_level_array(poles, x)))
+        first_failure = (x, val)
+        notes.append(f"level check failed at x={x!r}: |F|={val!r} vs {cert.guarantee!r}")
     checks.append(("pointwise-level", ok_points))
 
     window = endpoint_window(n, cert.delta)

@@ -20,12 +20,13 @@ midpoint, so an endpoint is within ~REFINE_WIDTH of its crossing.  A real
 pole's kernel is infinite at its own endpoint, so the box next to it is
 a member.
 
-Boxes go through a worklist of their ends in chunks of _CHUNK_ELEMENTS
-box-pole pairs, so memory stays O(chunk) at any n.  A level set that
-takes more than _BOX_BUDGET boxes raises BudgetExhausted.  Level sets
-agree with dense sampling on 1,100 seeded sets with n = 1-40 and on
-random sets at n = 64, 256 and 1024; on sharp_poles(n) at those n the
-measure is within 1e-10 of the closed form.
+level_members runs this search for any threshold on given intervals, one
+work item each; level_set and verify_certificate call it.  Boxes go
+through a worklist in chunks of _CHUNK_ELEMENTS box-pole pairs, so memory
+stays O(chunk) at any n; a search past _BOX_BUDGET boxes raises
+BudgetExhausted.  Level sets agree with dense sampling on 1,100 seeded
+sets with n = 1-40 and on random sets at n = 64, 256 and 1024; on
+sharp_poles(n) at those n the measure is within 1e-10 of the closed form.
 """
 
 from __future__ import annotations
@@ -125,22 +126,20 @@ def _merge(a: np.ndarray, b: np.ndarray) -> tuple:
     return a[np.r_[True, gap]], b[np.r_[gap, True]]
 
 
-def level_set(poles: PoleSet, query: LevelQuery) -> IntervalUnion:
-    """{x in [-1, 1] : |F(x)| >= query.threshold} as an interval union.
-
-    Raises BudgetExhausted after _BOX_BUDGET boxes.
-    """
-    if query.n != poles.n:
-        raise DomainError(f"query built for n={query.n}, pole set has n={poles.n}")
-    n, tau = poles.n, query.threshold
-    _, side, offset, s2 = map(np.array, zip(*pole_terms(poles)))
+def level_members(poles: PoleSet, tau: float, intervals: tuple) -> IntervalUnion:
+    """{x in the (a, b) intervals : |F(x)| >= tau}, one work item per
+    interval.  Raises BudgetExhausted after _BOX_BUDGET boxes."""
+    n = poles.n
+    # pole_terms' (real, side, offset, s2) in one pass, keeping no per-pole tuples
+    terms = np.fromiter(pole_terms(poles), "?,f8,f8,f8", count=n)
+    side, offset, s2 = terms["f1"], terms["f2"], terms["f3"]
     cos = -(side + offset)
     rel = (n + 16) * np.finfo(float).eps  # relative rounding margin of a kernel sum
     low, high = n - 2.0 * tau, n + 2.0 * tau  # |F| >= tau iff S <= low or S >= high
     chunk = max(1, _CHUNK_ELEMENTS // n)
 
-    work = [(np.array([-1.0]), np.array([1.0]), np.array([False]))]
-    found_a, found_b, boxes = [], [], 0
+    work = [(np.array([a]), np.array([b]), np.array([False])) for a, b in intervals]
+    found_a, found_b, boxes = [np.empty(0)], [np.empty(0)], 0
     # A real pole's kernel is infinite at its own endpoint (1 / 0).
     with np.errstate(divide="ignore", invalid="ignore"):
         sin = np.sqrt(s2)
@@ -153,7 +152,7 @@ def level_set(poles: PoleSet, query: LevelQuery) -> IntervalUnion:
             boxes += a.size
             if boxes > _BOX_BUDGET:
                 raise BudgetExhausted(
-                    f"level set needs more than {_BOX_BUDGET} boxes (n={n}, delta={query.delta})")
+                    f"level set needs more than {_BOX_BUDGET} boxes (n={n}, tau={tau!r})")
             m = a.size
             p, d, den = _kernels(np.concatenate((a, b)), side, offset, s2)
             pa, pb = p[:m], p[m:]
@@ -194,6 +193,13 @@ def level_set(poles: PoleSet, query: LevelQuery) -> IntervalUnion:
                 found_a, found_b = [a], [b]
     a, b = _merge(np.concatenate(found_a), np.concatenate(found_b))
     return IntervalUnion(tuple(zip(a.tolist(), b.tolist())))
+
+
+def level_set(poles: PoleSet, query: LevelQuery) -> IntervalUnion:
+    """{x in [-1, 1] : |F(x)| >= query.threshold}; see level_members."""
+    if query.n != poles.n:
+        raise DomainError(f"query built for n={query.n}, pole set has n={poles.n}")
+    return level_members(poles, query.threshold, ((-1.0, 1.0),))
 
 
 def level_set_for(poles: PoleSet, delta: float) -> IntervalUnion:

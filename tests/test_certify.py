@@ -379,24 +379,63 @@ def test_certificate_json_round_trip():
     assert verify_certificate(ps, back).ok
 
 
+def edge_sets():
+    """Real poles at 0 and pi, a 1e-13 cluster, and extremal sets up to n = 1024."""
+    yield PoleSet((0.0, math.pi))
+    yield PoleSet((0.0, 0.0, math.pi, 2.0))
+    yield PoleSet((math.pi, math.pi, 1.0))
+    yield PoleSet(tuple(0.7 + k * 1e-13 for k in range(5)) + (4.0,))
+    yield PoleSet(tuple(k * 1e-13 for k in range(1, 4)) + (math.pi - 1e-13,))
+    for n in (64, 256, 1024):
+        yield sharp_poles(n)
+
+
 def test_certificate_sweep_all_depths_verify():
     rng = np.random.default_rng(137)
-    for _ in range(5):
-        n = int(rng.integers(1, 10))
-        ps = PoleSet(tuple(rng.uniform(0.0, TWO_PI, n)))
+    sets = [PoleSet(tuple(rng.uniform(0.0, TWO_PI, int(rng.integers(1, 10))))) for _ in range(5)]
+    for ps in sets + list(edge_sets()):
         for cert in [build_certificate(ps, 0.25, m) for m in range(1, 9)]:
             assert verify_certificate(ps, cert).ok
 
 
 def test_soundness_sweep():
     rng = np.random.default_rng(12345)
-    for _ in range(60):
-        n = int(rng.integers(1, 13))
-        ps = PoleSet(tuple(rng.uniform(0.0, TWO_PI, n)))
+    sets = [PoleSet(tuple(rng.uniform(0.0, TWO_PI, int(rng.integers(1, 13))))) for _ in range(60)]
+    for ps in sets + list(edge_sets()):
         for delta in (0.1, 0.25, 0.4):
             for m in (1, 2, 3):
                 cert = build_certificate(ps, delta, m=m)
                 assert verify_certificate(ps, cert).ok
+
+
+def test_forged_witness_next_to_minus_one_fails_verification():
+    # the side-minus witness moved to [-1, -1 + its length]: |F| dips to
+    # ~1e-6 about 2e-6 from -1, between two points of a 1000-point grid
+    ps = PoleSet((math.pi + 0.0015, math.pi + 0.3))
+    cert = build_certificate(ps, 0.25, 3)
+    assert cert.case_tag == SIDE_MINUS and cert.guarantee == 0.5
+    (lo, hi), = cert.witness.intervals
+    forged = dataclasses.replace(cert, witness=IntervalUnion(((-1.0, -1.0 + (hi - lo)),)))
+    rep = verify_certificate(ps, forged)
+    assert not checks_dict(rep)["pointwise-level"]
+    assert not rep.ok
+    x, value = rep.first_failure
+    assert -1.0 <= x <= -1.0 + (hi - lo)
+    assert value < 0.5
+    assert value == abs(float(eval_level_array(ps, x)))
+
+
+def test_first_failure_lies_in_the_unproven_part():
+    # F = 4x^2/(x^2 + 1) and guarantee 0.8: |F| > 0.8 iff |x| > 1/2, so
+    # the right band widened to [0.3, 1] is unproven on [0.3, 0.5]
+    ps = PoleSet((math.pi / 2.0,) * 4)
+    cert = build_certificate(ps, 0.2, m=1)
+    (a, b), _ = cert.witness.intervals
+    bad = dataclasses.replace(cert, witness=IntervalUnion(((a, b), (0.3, 1.0))))
+    rep = verify_certificate(ps, bad)
+    assert not checks_dict(rep)["pointwise-level"]
+    x, value = rep.first_failure
+    assert 0.3 <= x <= 0.5 + 1e-9 and value < 0.8
 
 
 def test_both_side_tags_and_endpoint_tag_reachable():
@@ -412,9 +451,10 @@ def test_both_side_tags_and_endpoint_tag_reachable():
 
 
 def test_verify_certificate_memory_is_bounded_at_n10000():
-    # the level function is summed pole by pole, so the 1000-point check
-    # needs O(points) memory at any n (0.4 MiB here); a (points, n) array
-    # of terms peaks at 230 MiB
+    # the branch and bound takes one witness interval per work item and
+    # reads the per-pole constants in one pass (1.5 MiB here); both
+    # intervals in one chunk with the constants built from per-pole
+    # tuples took 2.0 MiB
     poles = PoleSet(tuple(np.random.default_rng(10_000).uniform(0.0, TWO_PI, 10_000)))
     cert = build_certificate(poles, 0.25, 3)
     tracemalloc.start()
