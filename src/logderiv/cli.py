@@ -2,7 +2,7 @@
 
 Exit codes: 0 all verdicts pass; 1 a checked bound failed (that would
 be a research finding, printed loudly); 2 I/O or argument problems;
-3 numerical failure (tolerance, root isolation, or search budget).
+3 numerical failure (tolerance or search budget).
 Identical arguments and seed produce byte-identical output files;
 timing columns are zeroed unless --timing is given.
 """
@@ -24,7 +24,6 @@ from .errors import (
     DomainError,
     PoleHit,
     PreconditionViolation,
-    RootIsolationFailure,
     ToleranceNotMet,
     ZeroAtEndpoint,
 )
@@ -358,7 +357,7 @@ def main(argv=None) -> int:
     except (DomainError, PreconditionViolation, PoleHit, ZeroAtEndpoint) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except (ToleranceNotMet, RootIsolationFailure, BudgetExhausted) as exc:
+    except (ToleranceNotMet, BudgetExhausted) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

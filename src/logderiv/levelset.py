@@ -130,9 +130,9 @@ def level_members(poles: PoleSet, tau: float, intervals: tuple) -> IntervalUnion
     """{x in the (a, b) intervals : |F(x)| >= tau}, one work item per
     interval.  Raises BudgetExhausted after _BOX_BUDGET boxes."""
     n = poles.n
-    # pole_terms' (real, side, offset, s2) in one pass, keeping no per-pole tuples
-    terms = np.fromiter(pole_terms(poles), "?,f8,f8,f8", count=n)
-    side, offset, s2 = terms["f1"], terms["f2"], terms["f3"]
+    # pole_terms' (side, offset, sin, s2) in one pass, keeping no per-pole tuples
+    terms = np.fromiter(pole_terms(poles), "f8,f8,f8,f8", count=n)
+    side, offset, s2 = terms["f0"], terms["f1"], terms["f3"]
     cos = -(side + offset)
     rel = (n + 16) * np.finfo(float).eps  # relative rounding margin of a kernel sum
     low, high = n - 2.0 * tau, n + 2.0 * tau  # |F| >= tau iff S <= low or S >= high

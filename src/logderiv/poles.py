@@ -17,6 +17,11 @@ with a_k = cos(theta_k).  Expanding each term shows the identity
 where P(v; x) = (1 - x^2) / (1 - 2 x Re(v) + x^2) is the Poisson kernel,
 nonnegative on [-1, 1].  Real poles z_k = +1 or -1 reduce to x/(x -+ 1)
 after cancelling a linear factor.
+
+On [-1, 1], g is summed by one loop, _pole_sum, for the level function
+F = x Re g and for the p-means in quadrature.py.  It forms x - z_k as
+(x -+ 1) + (+-1 - z_k) from half angles (pole_terms), never from the
+rounded point fl(cos theta) + i fl(sin theta).
 """
 
 from __future__ import annotations
@@ -137,55 +142,59 @@ def poisson_kernel(v_angle: float, x: float) -> float:
 
 
 def pole_terms(poles: PoleSet) -> Iterator[tuple]:
-    """Per-pole constants of F's terms, in pole order: (real, side, offset, s2).
+    """Per-pole constants, in pole order: (side, offset, sin, s2).
 
-    For a non-real pole, d = x - cos(theta) is formed without cancellation
-    as (x + side) + offset: side -1 and offset 2 sin^2(theta/2) when
-    cos(theta) >= 0, side +1 and offset -2 cos^2(theta/2) otherwise; s2 is
-    sin^2(theta).  A real pole (theta = 0 or pi) has real True, offset
-    and s2 exactly 0, and the term x / (x + side).
+    x - z_k is formed without cancellation as (x + side) + offset -
+    i sin(theta): side -1 and offset 2 sin^2(theta/2) when cos(theta) >=
+    0, side +1 and offset -2 cos^2(theta/2) otherwise, so that offset -
+    i sin(theta) = -side - z_k; sin is sin(theta) and s2 its square.  A
+    real pole (theta = 0 or pi) has offset, sin and s2 exactly 0.
     """
     for t in poles.angles:
         if t == 0.0 or t == math.pi:
-            yield True, -1.0 if t == 0.0 else 1.0, 0.0, 0.0
-        elif math.cos(t) >= 0.0:
-            yield False, -1.0, 2.0 * math.sin(0.5 * t) ** 2, math.sin(t) ** 2
+            yield -1.0 if t == 0.0 else 1.0, 0.0, 0.0, 0.0
+            continue
+        s = math.sin(t)
+        if math.cos(t) >= 0.0:
+            yield -1.0, 2.0 * math.sin(0.5 * t) ** 2, s, s**2
         else:
-            yield False, 1.0, -2.0 * math.cos(0.5 * t) ** 2, math.sin(t) ** 2
+            yield 1.0, -2.0 * math.cos(0.5 * t) ** 2, s, s**2
+
+
+def _pole_sum(terms, below: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """g = sum_k 1/(x - z_k) from below = x - 1 and above = x + 1.
+
+    terms are pole_terms' constants.  Each pole's x - z_k = (x + side) +
+    (offset - i sin) takes the base at the pole's own end, which is exact
+    wherever x is near that end (Sterbenz), so a pole within 1e-8 of +-1
+    keeps its offset 1 -+ cos(theta) that fl(cos(theta)) would round
+    away.  The poles are added in order into one accumulator through one
+    reused buffer, so memory is four complex arrays the shape of x at any
+    n.  A real pole's own endpoint gives inf + nan i.
+    """
+    below, above = below.astype(complex), above.astype(complex)
+    acc = np.zeros_like(below)
+    t = np.empty_like(below)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for side, offset, sin, _ in terms:
+            np.add(below if side < 0.0 else above, complex(offset, -sin), out=t)
+            acc += np.divide(1.0, t, out=t)
+    return acc
 
 
 def eval_level_array(poles: PoleSet, xs: np.ndarray) -> np.ndarray:
-    """F(x) = Re(x * g(x)) over an array of abscissae in [-1, 1].
+    """F(x) = x Re g(x) over an array of abscissae in [-1, 1].
 
-    Adds the per-pole terms in pole order into one accumulator, so memory
-    is O(points) at any n.  A non-real pole's term is x d / (d^2 +
-    sin^2 theta) with d = x - cos theta formed without cancellation (see
-    pole_terms); so a pole near the real axis keeps full relative
-    accuracy and F(+-1) = n/2 for non-real poles.
-    Raises DomainError unless every x satisfies |x| <= 1 (NaN fails
-    too).  A real pole's own endpoint produces +-inf instead of raising,
-    which is the convenient convention for membership sampling.
+    g is _pole_sum's, in O(points) memory at any n, so a pole near the
+    real axis keeps full relative accuracy and F(+-1) = n/2 for non-real
+    poles.  Raises DomainError unless every x satisfies |x| <= 1 (NaN
+    fails too).  A real pole's own endpoint produces +-inf instead of
+    raising, which is the convenient convention for membership sampling.
     """
     x = np.asarray(xs, dtype=float)
     if not np.all(np.abs(x) <= 1.0):
         raise DomainError("abscissae must lie in [-1, 1]")
-    below, above = x - 1.0, x + 1.0
-    out = np.zeros(x.shape)
-    d = np.empty(x.shape)
-    den = np.empty(x.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for real, side, offset, s2 in pole_terms(poles):
-            base = below if side < 0.0 else above
-            if real:
-                np.divide(x, base, out=d)
-            else:
-                np.add(base, offset, out=d)
-                np.multiply(d, d, out=den)
-                den += s2
-                d *= x
-                d /= den
-            out += d
-    return out[()]  # a scalar for a scalar x
+    return (x * _pole_sum(pole_terms(poles), x - 1.0, x + 1.0).real)[()]  # a scalar for a scalar x
 
 
 @dataclass(frozen=True)

@@ -48,14 +48,17 @@ The panel layer is vectorized and bounded in memory:
   so every cut is the float that repeated halving gives.  Only levels
   still above their min width are built.  The disk's rows in phi are
   the sorted rows of its break matrix.
-- The integrands loop over the poles and add each pole's term, in
-  order, into one accumulator through one reused buffer, so no
-  (panels, 15, n) array is built.  Each term is a whole-array
-  operation, where numpy's reduction over the short pole axis made one
-  inner-loop call per node.  Added in order, the sum is within
-  n eps sum_k |term_k| of the exact sum of the terms (recursive
-  summation: Higham, Accuracy and Stability of Numerical Algorithms,
-  2nd ed., 4.2).
+- lp_mean's integrands sum g with poles._pole_sum, the level
+  function's loop: each pole's term is added, in order, into one
+  accumulator through one reused buffer, so no (panels, 15, n) array is
+  built.  Each term is a whole-array operation, where numpy's reduction
+  over the short pole axis made one inner-loop call per node.  Added in
+  order, the sum is within n eps sum_k |term_k| of the exact sum of the
+  terms (recursive summation: Higham, Accuracy and Stability of
+  Numerical Algorithms, 2nd ed., 4.2).  Each term's x - z_k is formed
+  from half angles as (x -+ 1) + (+-1 - z_k), so a pole within 1e-8 of
+  +-1 keeps the offset 1 -+ cos(theta) that fl(cos(theta)) rounds away;
+  the window's rows take x -+ 1 from s directly.
 - The engine calls its kernel on chunks of _CHUNK_PANELS panels, so
   lp_mean runs in bounded memory (tested at n = 1024).
 """
@@ -71,7 +74,7 @@ import numpy as np
 
 from .bounds import mean_lower_bound
 from .errors import DomainError, ToleranceNotMet
-from .poles import PoleSet, poles_digest
+from .poles import PoleSet, _pole_sum, pole_terms, poles_digest
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule
 # (Gauss nodes are the odd-indexed entries).
@@ -163,22 +166,6 @@ def _graded_panels(
     v = np.sort(np.concatenate(cuts))
     v = v[np.concatenate(([True], np.diff(v) > 4e-16))]
     return v[:-1], v[1:]
-
-
-def _g(x: np.ndarray, z) -> np.ndarray:
-    """sum_k 1 / (x - z[k]) at real nodes x.
-
-    The poles are added in order into one accumulator, through one
-    reused buffer, so memory is three arrays the shape of x at any n.
-    """
-    xc = x.astype(complex)
-    s = np.zeros_like(xc)
-    t = np.empty_like(xc)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for zk in z.tolist():
-            np.subtract(xc, zk, out=t)
-            s += np.divide(1.0, t, out=t)
-    return s
 
 
 def _nodes(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -298,24 +285,26 @@ def _integrate(parts, rel_tol: float, max_panels: int) -> QuadratureResult:
     return QuadratureResult(float(val.sum()), float(err.sum()), False, panels, evals)
 
 
-def _mean_values(pts: np.ndarray, p: float, weighted: bool, x: np.ndarray) -> np.ndarray:
+def _mean_values(terms, p: float, weighted: bool, x: np.ndarray) -> np.ndarray:
     """The lp_mean integrand |g|^p, times |x|^p if weighted, at nodes x."""
-    g = np.abs(_g(x, pts)) ** p
+    g = np.abs(_pole_sum(terms, x - 1.0, x + 1.0)) ** p
     if weighted:
         g = g * np.abs(x) ** p
     return g
 
 
 def _window_values(
-    shifted: np.ndarray, e: float, m: int, p: float, weighted: bool, u: np.ndarray
+    rest, e: float, m: int, p: float, weighted: bool, u: np.ndarray
 ) -> np.ndarray:
     """The lp_mean integrand in u on the window at the real pole e, where
     1 - e x = s = u^k, k = 1/(1 - p): k |s g|^p with s g = s g_rest - e m
-    for e's multiplicity m.  shifted holds the other poles minus e, so
-    x - z = (e - z) - e s keeps its relative accuracy next to e."""
+    for e's multiplicity m, and g_rest the sum over the other poles' terms
+    rest.  x - 1 and x + 1 are -s and 2 - s at +1, s - 2 and s at -1, so
+    x - z keeps its relative accuracy next to e."""
     k = 1.0 / (1.0 - p)
     s = u**k
-    v = k * np.abs(s * _g(-e * s, shifted) - e * m) ** p
+    r = -e * s  # x - e
+    v = k * np.abs(s * _pole_sum(rest, r + (e - 1.0), r + (e + 1.0)) - e * m) ** p
     if weighted:
         v = v * (1.0 - s) ** p
     return v
@@ -338,8 +327,7 @@ def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
     """
     p = spec.p
     angles = poles.angles
-    pts = poles.points
-    # real poles by angle: points puts theta = pi at -1 + 1.2e-16i
+    terms = list(pole_terms(poles))
     ends = [(e, t) for e, t in ((1.0, 0.0), (-1.0, math.pi)) if t in angles]
     if ends and p >= 1.0:
         return QuadratureResult(math.inf, 0.0, True, 0, 0)
@@ -351,8 +339,10 @@ def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
     edge = {1.0: 1.0, -1.0: -1.0}
     windows = []
     for e, t in ends:
-        others = np.array([z for th, z in zip(angles, pts) if th != t])
-        d = min((abs(e - z) for z in others), default=1.0)
+        rest = [term for th, term in zip(angles, terms) if th != t]
+        # |e - z_k| = |(e + side) + offset - i sin|
+        d = min((math.hypot((e + side) + offset, sin) for side, offset, sin, _ in rest),
+                default=1.0)
         # W is not below eps / rel_tol, where the core's nodes next to e are
         # misplaced by more than rel_tol of their panel width; a pole nearer
         # than that lies in the window, where |s g| <= n since |x - z| >= s.
@@ -362,10 +352,10 @@ def lp_mean(poles: PoleSet, spec: MeanSpec) -> QuadratureResult:
         edge[e] = e * (1.0 - w)
         w = 1.0 - e * edge[e]
         ladders.append((e, 2.0, w))
-        f = functools.partial(_window_values, others - e, e, angles.count(t), p, spec.weighted)
+        f = functools.partial(_window_values, rest, e, angles.count(t), p, spec.weighted)
         windows.append((f, *_graded_panels(0.0, w ** (1.0 - p), [])))
 
-    core = functools.partial(_mean_values, pts, p, spec.weighted)
+    core = functools.partial(_mean_values, terms, p, spec.weighted)
     parts = [(core, *_graded_panels(edge[-1.0], edge[1.0], [0.0], ladders)), *windows]
     result = _integrate(parts, spec.rel_tol, spec.max_panels)
     # the integrand is positive almost everywhere, so a zero value means it

@@ -4,13 +4,14 @@ The one-row ladder builder, the disk's rows in phi, the retired rows
 and the chunked evaluation change only time and memory: cuts, panel
 counts, function evaluation counts and values must be the same bits as
 before.  The pole sums add each pole's term in order into one
-accumulator, so they keep each term's bits but not numpy's order of
-addition: they must stay within the recursive-summation bound
+accumulator: they must stay within the recursive-summation bound
 n eps sum_k |term_k| (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., 4.2), plus one ulp, of the reference.  The scalar
-ladder builder, the refinement loop without retired rows, the integrands
-that summed a (panels, 15, n) array and the level function's per-pole
-terms are kept below as the reference.  Whole integrals are checked
+Algorithms, 2nd ed., 4.2), plus one ulp, of the reference, which is
+numpy's sum of a (panels, 15, n) array for the disk's rays and the
+correctly rounded sum of frozen half-angle terms for g and F on
+[-1, 1].  The scalar ladder builder, the refinement loop without
+retired rows, the ray integrand and the per-pole terms of g and F are
+kept below as the reference.  Whole integrals are checked
 against their oracles and for the same bits on a rerun and under small
 chunks.
 """
@@ -27,6 +28,7 @@ from logderiv import (
 )
 from logderiv.explorer import equally_spaced
 from logderiv.extremal import sharp_lp_mean, sharp_poles
+from logderiv.poles import pole_terms
 from logderiv.quadrature import (
     _XGK,
     GRADE_MIN_WIDTH,
@@ -133,13 +135,19 @@ def frozen_ray_kernel(z, piece, w, rows, a, b):
     return _kronrod(phi, h)
 
 
-def frozen_mean_values(pts, p, weighted, x):
-    """The lp_mean integrand that summed a (panels, 15, n) array, verbatim."""
+def frozen_pole_terms(angles, x):
+    """The lp_mean pole sum's terms 1/(x - z_k), one column a pole: x - z_k
+    = d - i sin theta with d = x - cos theta formed from the half angle,
+    and 1/(x -+ 1) for a real pole."""
+    t = np.asarray(angles)
+    xx = x[..., None]
+    d_plus = (xx - 1.0) + 2.0 * np.sin(0.5 * t) ** 2
+    d_minus = (xx + 1.0) - 2.0 * np.cos(0.5 * t) ** 2
+    d = np.where(np.cos(t) >= 0.0, d_plus, d_minus)
+    real = (t == 0.0) | (t == math.pi)
+    d = np.where(real, np.where(t == 0.0, xx - 1.0, xx + 1.0), d)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.abs((1.0 / (x[..., None] - pts)).sum(axis=-1)) ** p
-    if weighted:
-        g = g * np.abs(x) ** p
-    return (g,)
+        return 1.0 / (d - 1j * np.where(real, 0.0, np.sin(t)))
 
 
 def frozen_level_terms(angles, x):
@@ -303,22 +311,23 @@ EPS = np.finfo(float).eps
 
 @pytest.mark.parametrize("n", SLAB_NS)
 def test_mean_values_match_frozen_integrand(n):
-    # the pole sum in order against numpy's pairwise sum of the same
-    # terms, at p = 1: within n eps sum_k |x - z_k|^-1 plus one ulp
+    # the pole sum in order against the correctly rounded sums of the real
+    # and imaginary parts of the same terms, at p = 1: within
+    # n eps sum_k |x - z_k|^-1 plus one ulp
     rng = np.random.default_rng([27, n])
     thetas = case_thetas(rng, n, "uniform" if n % 2 else 1e-12)
     # poles on the real axis and within 1e-13 of it
     edge = (0.0, 1e-13, math.pi - 1e-13)
     thetas[: max(1, n // 8)] = [edge[k % 3] for k in range(max(1, n // 8))]
-    pts = PoleSet(tuple(thetas)).points
+    poles = PoleSet(tuple(thetas))
     panels = 240 if n <= 256 else 40
     a, b = near_pole_panels(rng, rng.choice(np.cos(thetas), panels))
     _, x = _nodes(a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.abs(1.0 / (x[..., None] - pts)).sum(axis=-1)
-    (want,) = frozen_mean_values(pts, 1.0, False, x)
-    assert_within(_mean_values(pts, 1.0, False, x), want,
-                  n * EPS * scale + np.spacing(want))
+    terms = frozen_pole_terms(poles.angles, x)
+    want = np.abs(np.array([complex(math.fsum(t.real), math.fsum(t.imag))
+                            for t in terms.reshape(-1, n)])).reshape(x.shape)
+    bound = n * EPS * np.abs(terms).sum(axis=-1) + np.abs(np.spacing(want))
+    assert_within(_mean_values(list(pole_terms(poles)), 1.0, False, x), want, bound)
 
 
 @pytest.mark.parametrize("n", SLAB_NS)
@@ -338,7 +347,7 @@ def test_level_array_matches_fsum_of_terms(n):
     want = np.array([math.fsum(row) for row in terms])
     assert want[-1] == math.inf and (n == 1 or want[-2] == -math.inf)
     with np.errstate(invalid="ignore"):
-        bound = n * EPS * np.abs(terms).sum(axis=1) + np.spacing(want)
+        bound = n * EPS * np.abs(terms).sum(axis=1) + np.abs(np.spacing(want))
     assert_within(eval_level_array(poles, x), want, bound)
 
 

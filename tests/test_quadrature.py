@@ -271,34 +271,51 @@ def test_doubling_panel_budget_is_self_consistent():
 
 
 def test_near_real_pole_arctan_oracle():
-    # int dx/((x-c)^2 + s^2) = (1/s)(atan((1-c)/s) + atan((1+c)/s))
+    # int dx/((x-c)^2 + s^2) = (1/s)(atan((1-c)/s) + atan((1+c)/s)), with
+    # 1 - c = 2 sin^2(eps/2) and 1 + c = 2 cos^2(eps/2)
     eps = 1e-6
-    c, s = math.cos(eps), math.sin(eps)
-    ref = (math.atan((1.0 - c) / s) + math.atan((1.0 + c) / s)) / s
+    s = math.sin(eps)
+    ref = (math.atan(2.0 * math.sin(0.5 * eps) ** 2 / s)
+           + math.atan(2.0 * math.cos(0.5 * eps) ** 2 / s)) / s
     r = lp_mean(PoleSet((eps,)), MeanSpec(p=2.0))
     assert r.value == pytest.approx(ref, rel=1e-8)
 
 
 def single_pole_power_mean(theta, p):
     """integral over [-1, 1] of ((x - c)^2 + s^2)^(-p/2), c + is = e^(i theta),
-    at p = 2 (arctan form) and p = 3."""
-    c, s = math.cos(theta), abs(math.sin(theta))
+    at p = 1 (asinh form), p = 2 (arctan form) and p = 3.  1 - c and 1 + c
+    are formed from the half angles, since fl(cos theta) is 1.0 at theta =
+    1e-8 and loses the offset 1 - c = 5e-17 altogether."""
+    a, b = 2.0 * math.sin(0.5 * theta) ** 2, 2.0 * math.cos(0.5 * theta) ** 2  # 1 - c, 1 + c
+    s = abs(math.sin(theta))
+    if p == 1.0:
+        return math.asinh(a / s) + math.asinh(b / s)
     if p == 2.0:
-        return (math.atan((1.0 - c) / s) + math.atan((1.0 + c) / s)) / s
+        return (math.atan(a / s) + math.atan(b / s)) / s
     assert p == 3.0
-    return ((1.0 - c) / math.hypot(1.0 - c, s) + (1.0 + c) / math.hypot(1.0 + c, s)) / s**2
+    return (a / math.hypot(a, s) + b / math.hypot(b, s)) / s**2
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize(
-    "theta", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, math.pi - 1e-6, math.pi - 1e-9, 1.0]
+    "theta",
+    [1e-2, 1e-4, 1e-6, 1e-7, 3e-8, 1e-8, 1e-10, math.pi - 1e-6, math.pi - 1e-8,
+     math.pi - 1e-9, 1.0],
 )
 def test_single_pole_closed_form_at_every_height(theta, p):
     # The spike's shoulders must be graded too: a ladder that only ran
     # inward from cos(theta) -+ sin(theta) left the panel outside it too
     # wide, and read 7.07e19 for 1e20 at theta = 1e-10, p = 3.
+    want = single_pole_power_mean(theta, p)
     r = lp_mean(PoleSet((theta,)), MeanSpec(p=p))
-    assert r.value == pytest.approx(single_pole_power_mean(theta, p), rel=10 * 1e-8)
+    assert r.value == pytest.approx(want, rel=10 * 1e-8)
+    # At heights down to 1e-8, rel_tol 1e-12 is met too.  A pole sum that
+    # subtracted fl(cos theta) + i fl(sin theta) lost the spike between
+    # the pole's projection and +-1: 3.2e-9 off at theta = 1e-8, p = 2,
+    # with an error estimate of 7.1e-13.
+    if abs(math.sin(theta)) >= 1e-8:
+        r = lp_mean(PoleSet((theta,)), MeanSpec(p=p, rel_tol=1e-12))
+        assert r.value == pytest.approx(want, rel=2e-12)
 
 
 def test_tolerance_not_met_carries_partial_result():
