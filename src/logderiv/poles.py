@@ -21,7 +21,10 @@ after cancelling a linear factor.
 On [-1, 1], g is summed by one loop, _pole_sum, for the level function
 F = x Re g and for the p-means in quadrature.py.  It forms x - z_k as
 (x -+ 1) + (+-1 - z_k) from half angles (pole_terms), never from the
-rounded point fl(cos theta) + i fl(sin theta).
+rounded point fl(cos theta) + i fl(sin theta), and sums Re g and Im g
+in two float arrays: each term 1/(d - i s) is (d + i s) / (d^2 + s^2),
+so no complex array is built and numpy's complex division, which took
+most of the loop's time, is not called.
 """
 
 from __future__ import annotations
@@ -161,25 +164,50 @@ def pole_terms(poles: PoleSet) -> Iterator[tuple]:
             yield 1.0, -2.0 * math.cos(0.5 * t) ** 2, s, s**2
 
 
-def _pole_sum(terms, below: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """g = sum_k 1/(x - z_k) from below = x - 1 and above = x + 1.
+# A pole with s2 below _S2_MIN = 2^-1022 * 2^53 is summed in the scaled
+# form 1/(x - z_k) = c / (c (x - z_k)) with c = _SCALE, a power of two, so
+# that d^2 + s2 never leaves the normal range where its rounding is
+# relative: |sin theta| < 1.4e-146.  |d| <= 2 there, so (c d)^2 is finite.
+_S2_MIN = 2.0**-969
+_SCALE = 2.0**500
 
-    terms are pole_terms' constants.  Each pole's x - z_k = (x + side) +
-    (offset - i sin) takes the base at the pole's own end, which is exact
-    wherever x is near that end (Sterbenz), so a pole within 1e-8 of +-1
-    keeps its offset 1 -+ cos(theta) that fl(cos(theta)) would round
-    away.  The poles are added in order into one accumulator through one
-    reused buffer, so memory is four complex arrays the shape of x at any
-    n.  A real pole's own endpoint gives inf + nan i.
+
+def _pole_sum(terms, below: np.ndarray, above: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(Re g, Im g), g = sum_k 1/(x - z_k), from below = x - 1 and above = x + 1.
+
+    terms are pole_terms' constants.  Each pole's x - z_k = d - i sin,
+    with d = (x + side) + offset, takes the base at the pole's own end,
+    which is exact wherever x is near that end (Sterbenz), so a pole
+    within 1e-8 of +-1 keeps its offset 1 -+ cos(theta) that
+    fl(cos(theta)) would round away.  Its term (d + i sin) / (d^2 + s2)
+    is added, in order, into two float planes through two reused
+    buffers, so memory is four float arrays the shape of x at any n and
+    no complex division is made.  A real pole (sin = 0) adds 1/(x + side),
+    which is +-inf at its own endpoint.
     """
-    below, above = below.astype(complex), above.astype(complex)
-    acc = np.zeros_like(below)
-    t = np.empty_like(below)
+    re, im = np.zeros_like(below), np.zeros_like(below)
+    d, q = np.empty_like(below), np.empty_like(below)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for side, offset, sin, _ in terms:
-            np.add(below if side < 0.0 else above, complex(offset, -sin), out=t)
-            acc += np.divide(1.0, t, out=t)
-    return acc
+        for side, offset, sin, s2 in terms:
+            base = below if side < 0.0 else above
+            if sin == 0.0:
+                re += np.divide(1.0, base, out=q)
+                continue
+            np.add(base, offset, out=d)
+            c = 1.0 if s2 >= _S2_MIN else _SCALE
+            if c != 1.0:
+                d *= c
+                s2 = (c * sin) ** 2
+            np.multiply(d, d, out=q)
+            q += s2
+            np.divide(1.0, q, out=q)
+            d *= q
+            if c != 1.0:
+                d *= c
+            re += d
+            q *= c * c * sin
+            im += q
+    return re, im
 
 
 def eval_level_array(poles: PoleSet, xs: np.ndarray) -> np.ndarray:
@@ -187,14 +215,17 @@ def eval_level_array(poles: PoleSet, xs: np.ndarray) -> np.ndarray:
 
     g is _pole_sum's, in O(points) memory at any n, so a pole near the
     real axis keeps full relative accuracy and F(+-1) = n/2 for non-real
-    poles.  Raises DomainError unless every x satisfies |x| <= 1 (NaN
+    poles at heights |sin(theta)| down to about 1e-154 (tested to 1e-150).
+    Below that the half-angle offset 2 sin^2(theta/2) is subnormal or 0,
+    and such a pole's term at its own end drifts from 1/2 (to 0 by height
+    1e-200).  Raises DomainError unless every x satisfies |x| <= 1 (NaN
     fails too).  A real pole's own endpoint produces +-inf instead of
     raising, which is the convenient convention for membership sampling.
     """
     x = np.asarray(xs, dtype=float)
     if not np.all(np.abs(x) <= 1.0):
         raise DomainError("abscissae must lie in [-1, 1]")
-    return (x * _pole_sum(pole_terms(poles), x - 1.0, x + 1.0).real)[()]  # a scalar for a scalar x
+    return (x * _pole_sum(pole_terms(poles), x - 1.0, x + 1.0)[0])[()]  # a scalar for a scalar x
 
 
 @dataclass(frozen=True)

@@ -49,13 +49,14 @@ The panel layer is vectorized and bounded in memory:
   still above their min width are built.  The disk's rows in phi are
   the sorted rows of its break matrix.
 - lp_mean's integrands sum g with poles._pole_sum, the level
-  function's loop: each pole's term is added, in order, into one
-  accumulator through one reused buffer, so no (panels, 15, n) array is
-  built.  Each term is a whole-array operation, where numpy's reduction
-  over the short pole axis made one inner-loop call per node.  Added in
-  order, the sum is within n eps sum_k |term_k| of the exact sum of the
-  terms (recursive summation: Higham, Accuracy and Stability of
-  Numerical Algorithms, 2nd ed., 4.2).  Each term's x - z_k is formed
+  function's loop: each pole's term is added, in order, into two float
+  accumulators, Re g and Im g, through two reused buffers, so no
+  (panels, 15, n) array and no complex array is built.  Each term is a
+  whole-array operation, where numpy's reduction over the short pole
+  axis made one inner-loop call per node.  Added in order, the sum is
+  within n eps sum_k |term_k| of the exact sum of the terms (recursive
+  summation: Higham, Accuracy and Stability of Numerical Algorithms,
+  2nd ed., 4.2).  Each term's x - z_k is formed
   from half angles as (x -+ 1) + (+-1 - z_k), so a pole within 1e-8 of
   +-1 keeps the offset 1 -+ cos(theta) that fl(cos(theta)) rounds away;
   the window's rows take x -+ 1 from s directly.
@@ -101,12 +102,12 @@ _WG = np.array([
 GRADE_MIN_WIDTH = 1e-13
 
 # The engine's kernel calls get at most _CHUNK_PANELS panels.  A pole sum
-# holds two slabs at any n, the accumulator and the term: (15, panels)
-# complex for lp_mean, (3, 15, panels) for the rays.  1092 panels were at
-# least as fast as a quarter, half or twice that, and as single-shot calls
-# up to 8 times that, with the fewest page faults (on lp_means at n <= 20,
-# 64 and 256 and the earlier radial kernel, when a sum held up to
-# 5 + log2(n / 64) slabs).
+# holds its accumulators and term buffers at any n: four (15, panels)
+# float slabs for lp_mean, two (3, 15, panels) for the rays.  1092 panels
+# were at least as fast as a quarter, half or twice that, and as
+# single-shot calls up to 8 times that, with the fewest page faults (on
+# lp_means at n <= 20, 64 and 256 and the earlier radial kernel, when a
+# sum held up to 5 + log2(n / 64) slabs).
 _CHUNK_PANELS = 1092
 
 # Panel budgets of area_integral: per piece in phi, and per batch of rays.
@@ -218,8 +219,9 @@ def _adaptive(
         # full panel set.
         val[open_] = np.bincount(rows, weights=k, minlength=m)[open_]
         err[open_] = np.bincount(rows, weights=e, minlength=m)[open_]
-        # a NaN error keeps its row pending
-        pending = open_ & ~(err <= rel_tol * np.abs(val))
+        # a NaN error keeps its row pending, and so does a value that is not
+        # finite, whose infinite error would pass as inf <= rel_tol * inf
+        pending = open_ & ~(np.isfinite(val) & (err <= rel_tol * np.abs(val)))
         if not pending.any():
             return val, err, retired + len(a), evals
         if retired + len(a) > max_panels:
@@ -287,7 +289,7 @@ def _integrate(parts, rel_tol: float, max_panels: int) -> QuadratureResult:
 
 def _mean_values(terms, p: float, weighted: bool, x: np.ndarray) -> np.ndarray:
     """The lp_mean integrand |g|^p, times |x|^p if weighted, at nodes x."""
-    g = np.abs(_pole_sum(terms, x - 1.0, x + 1.0)) ** p
+    g = np.hypot(*_pole_sum(terms, x - 1.0, x + 1.0)) ** p
     if weighted:
         g = g * np.abs(x) ** p
     return g
@@ -304,7 +306,8 @@ def _window_values(
     k = 1.0 / (1.0 - p)
     s = u**k
     r = -e * s  # x - e
-    v = k * np.abs(s * _pole_sum(rest, r + (e - 1.0), r + (e + 1.0)) - e * m) ** p
+    re, im = _pole_sum(rest, r + (e - 1.0), r + (e + 1.0))
+    v = k * np.hypot(s * re - e * m, s * im) ** p
     if weighted:
         v = v * (1.0 - s) ** p
     return v

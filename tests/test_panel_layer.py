@@ -3,17 +3,17 @@
 The one-row ladder builder, the disk's rows in phi, the retired rows
 and the chunked evaluation change only time and memory: cuts, panel
 counts, function evaluation counts and values must be the same bits as
-before.  The pole sums add each pole's term in order into one
-accumulator: they must stay within the recursive-summation bound
+before.  The pole sums add each pole's term in order into float
+accumulators: they must stay within the recursive-summation bound
 n eps sum_k |term_k| (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., 4.2), plus one ulp, of the reference, which is
 numpy's sum of a (panels, 15, n) array for the disk's rays and the
-correctly rounded sum of frozen half-angle terms for g and F on
-[-1, 1].  The scalar ladder builder, the refinement loop without
-retired rows, the ray integrand and the per-pole terms of g and F are
-kept below as the reference.  Whole integrals are checked
-against their oracles and for the same bits on a rerun and under small
-chunks.
+correctly rounded sum of frozen half-angle terms, by complex division,
+for g and F on [-1, 1].  The scalar ladder builder, the refinement loop
+without retired rows, the ray integrand, the per-pole terms of g and F
+and the complex pole sum are kept below as the reference.  Whole
+integrals are checked against their oracles and for the same bits on a
+rerun and under small chunks.
 """
 
 import functools
@@ -28,7 +28,7 @@ from logderiv import (
 )
 from logderiv.explorer import equally_spaced
 from logderiv.extremal import sharp_lp_mean, sharp_poles
-from logderiv.poles import pole_terms
+from logderiv.poles import _pole_sum, pole_terms
 from logderiv.quadrature import (
     _XGK,
     GRADE_MIN_WIDTH,
@@ -148,6 +148,19 @@ def frozen_pole_terms(angles, x):
     d = np.where(real, np.where(t == 0.0, xx - 1.0, xx + 1.0), d)
     with np.errstate(divide="ignore", invalid="ignore"):
         return 1.0 / (d - 1j * np.where(real, 0.0, np.sin(t)))
+
+
+def frozen_complex_pole_sum(terms, below, above):
+    """The pole sum in complex arithmetic: each pole's 1/(x - z_k) by
+    numpy's complex division, added in order, returned as (Re, Im)."""
+    below, above = below.astype(complex), above.astype(complex)
+    acc = np.zeros_like(below)
+    t = np.empty_like(below)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for side, offset, sin, _ in terms:
+            np.add(below if side < 0.0 else above, complex(offset, -sin), out=t)
+            acc += np.divide(1.0, t, out=t)
+    return acc.real, acc.imag
 
 
 def frozen_level_terms(angles, x):
@@ -328,6 +341,66 @@ def test_mean_values_match_frozen_integrand(n):
                             for t in terms.reshape(-1, n)])).reshape(x.shape)
     bound = n * EPS * np.abs(terms).sum(axis=-1) + np.abs(np.spacing(want))
     assert_within(_mean_values(list(pole_terms(poles)), 1.0, False, x), want, bound)
+
+
+@pytest.mark.parametrize("n", [n for n in SLAB_NS if n <= 256])
+def test_pole_sum_planes_match_complex_division(n):
+    # Re g and Im g from the float planes against the correctly rounded
+    # sums of the complex-division terms: within n eps sum_k |x - z_k|^-1
+    # plus one ulp, at nodes within 1e-13 of a pole and at x = +-1, with
+    # 1e-13 clusters, real poles and poles below height 1.4e-146, which
+    # take the scaled branch
+    rng = np.random.default_rng([31, n])
+    thetas = case_thetas(rng, n, "uniform" if n % 2 else 1e-13)
+    edge = (0.0, math.pi, 1e-150, 1e-200, 1e-13, math.pi - 1e-13)
+    k = max(1, n // 8)
+    thetas[:k] = [edge[j % len(edge)] for j in range(k)]
+    poles = PoleSet(tuple(thetas))
+    a, b = near_pole_panels(rng, rng.choice(np.cos(thetas), 120))
+    x = np.concatenate([_nodes(a, b)[1].ravel(), [-1.0, 1.0]])
+    terms = frozen_pole_terms(poles.angles, x)
+    # a real pole's term is real, also the inf + nan i at its own endpoint
+    imag = np.where(np.isin(poles.angles, (0.0, math.pi)), 0.0, terms.imag)
+    got = _pole_sum(pole_terms(poles), x - 1.0, x + 1.0)
+    with np.errstate(invalid="ignore"):
+        size = n * EPS * np.abs(terms).sum(axis=1)
+        for plane, part in zip(got, (terms.real, imag)):
+            want = np.array([math.fsum(row) for row in part])
+            assert_within(plane, want, size + np.abs(np.spacing(want)))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize(
+    "theta", [1e-100, 1e-155, 1e-160, 1e-200, 1e-300, math.pi - 1e-160]
+)
+def test_extreme_heights_match_complex_division(monkeypatch, theta, p, weighted):
+    # lp_mean with the float-plane pole sum gives what it gives with numpy's
+    # complex division: the same value within 1e-12, or ToleranceNotMet;
+    # never a non-finite value as converged.  pi - 1e-160 rounds to pi.
+    import logderiv.quadrature as quadrature
+
+    poles = PoleSet((theta, 2.0))
+    spec = MeanSpec(p=p, weighted=weighted)
+
+    def outcome():
+        try:
+            r = lp_mean(poles, spec)
+        except ToleranceNotMet:
+            return None
+        assert r.divergent or math.isfinite(r.value)
+        return r
+
+    with np.errstate(over="ignore"):
+        got = outcome()
+        monkeypatch.setattr(quadrature, "_pole_sum", frozen_complex_pole_sum)
+        want = outcome()
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.divergent == want.divergent
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+    ends = eval_level_array(poles, np.array([-1.0, 1.0]))
+    assert np.isfinite(ends).all() or poles.angles[0] == math.pi
 
 
 @pytest.mark.parametrize("n", SLAB_NS)

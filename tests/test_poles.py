@@ -112,6 +112,17 @@ def test_eval_level_array_real_pole_endpoints_are_infinite():
     assert vals[2] == math.inf
 
 
+@pytest.mark.parametrize("h", [1e-8, 1e-16, 1e-40, 1e-100, 1e-145, 1e-147, 1e-150])
+def test_eval_level_array_endpoints_at_tiny_heights(h):
+    # F(+-1) = n/2 down to height ~1e-154, where the half-angle offset
+    # 2 sin^2(theta/2) is still a normal float; heights below 1.4e-146 take
+    # the pole sum's scaled branch
+    for angles in ((h,), (h, 2.0), (h, h, 4.0, 5.0)):
+        vals = eval_level_array(PoleSet(angles), np.array([-1.0, 1.0]))
+        n = len(angles)
+        assert np.all(np.abs(vals - 0.5 * n) <= n * n * np.finfo(float).eps), (angles, vals)
+
+
 def test_eval_level_array_endpoints_near_real_axis():
     # every non-real pole's term is 1/2 at x = +-1, so F(+-1) = n/2, also
     # for poles 1e-9 to 1e-13 from the axis, whose cos rounds to +-1

@@ -28,7 +28,7 @@ from logderiv import (
 )
 from logderiv.explorer import equally_spaced
 from logderiv.extremal import sharp_lp_mean, sharp_poles
-from logderiv.quadrature import _adaptive, _kronrod, _nodes, mean_csv_row
+from logderiv.quadrature import _XGK, _adaptive, _integrate, _kronrod, _nodes, mean_csv_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -356,6 +356,16 @@ def test_nan_error_is_not_convergence():
     edges = np.linspace(0.0, 1.0, 5)
     with np.errstate(invalid="ignore"), pytest.raises(ToleranceNotMet):
         _adaptive(kernel, np.zeros(4, dtype=np.intp), edges[:-1], edges[1:], 1, 1e-8, 100)
+
+
+def test_infinite_value_is_not_convergence():
+    # inf at a Kronrod-only node makes the panel's value and error inf, and
+    # inf <= rel_tol * inf is true, so an infinite row must be kept pending
+    def f(x):
+        return np.where(x == _XGK[0], math.inf, 1.0)
+
+    with pytest.raises(ToleranceNotMet):
+        _integrate([(f, np.array([-1.0]), np.array([1.0]))], 1e-8, 100)
 
 
 def test_area_integral_single_pole_is_four():
