@@ -13,7 +13,10 @@ for g and F on [-1, 1].  The scalar ladder builder, the refinement loop
 without retired rows, the ray integrand, the per-pole terms of g and F
 and the complex pole sum are kept below as the reference.  Whole
 integrals are checked against their oracles and for the same bits on a
-rerun and under small chunks.
+rerun and under small chunks.  The disk integral's symmetry orbits are
+checked against a scalar orbit loop and against the per-piece integral
+they replace: within 1e-14 on symmetric sets, the same bits on sets
+without symmetry.
 """
 
 import functools
@@ -39,6 +42,7 @@ from logderiv.quadrature import (
     _kronrod,
     _mean_values,
     _nodes,
+    _orbits,
     _ray_kernel,
 )
 from test_quadrature import elliptic_area
@@ -496,20 +500,125 @@ def phi_thetas(rng, n, kind):
     return case_thetas(rng, n, kind)
 
 
+def scalar_orbits(thetas):
+    """The orbits of the disk pieces by a pairwise scalar loop: piece k
+    joins the first representative whose sorted relative angles match
+    k's own, or their mirror image, entry by entry within 8 ulp(2 pi)."""
+    tol = 8.0 * math.ulp(TWO_PI)
+
+    def rel(k, sign):
+        return sorted((sign * (t - thetas[k])) % TWO_PI for t in thetas)
+
+    reps, counts = [], []
+    for k in range(len(thetas)):
+        own = (rel(k, 1.0), rel(k, -1.0))
+        for i, r in enumerate(reps):
+            if any(all(abs(x - y) <= tol for x, y in zip(rel(r, 1.0), v)) for v in own):
+                counts[i] += 1
+                break
+        else:
+            reps.append(k)
+            counts.append(1)
+    return reps, counts
+
+
 @pytest.mark.parametrize("kind", ["uniform", "equal", "kfold", 1e-13, 4e-16])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 33, 64])
 def test_area_phi_rows_match_scalar_builder(monkeypatch, n, kind):
-    # row k of piece k is cut where the boundary point z_k e^{i(2 phi +
-    # pi)} is another pole
+    # one row per orbit of pieces, for its first piece k, cut where the
+    # boundary point z_k e^{i(2 phi + pi)} is another pole
     rng = np.random.default_rng([28, n])
     poles = PoleSet(tuple(phi_thetas(rng, n, kind)))
+    thetas = np.array(poles.angles)
+    reps, counts = scalar_orbits(list(poles.angles))
+    got_reps, got_counts = _orbits(thetas)
+    assert got_reps.tolist() == reps
+    assert got_counts.tolist() == counts
+    # every 2-pole set is mirror-symmetric, an equally spaced set is one
+    # orbit, k-fold poles merge, and a random set has no symmetry
+    want = {"equal": [0], "kfold": list(range(0, n, 4)), "uniform": list(range(n))}
+    if n <= 2 or kind in want:
+        assert reps == ([0] if n <= 2 else want[kind])
     rows, a, b = phi_panels(monkeypatch, poles)
     assert np.array_equal(rows, np.sort(rows))
-    thetas = np.array(poles.angles)
-    for k in range(poles.n):
+    assert np.array_equal(np.unique(rows), np.arange(len(reps)))
+    for r, k in enumerate(reps):
         breaks = 0.5 * np.mod(thetas - thetas[k], TWO_PI) - 0.5 * math.pi
         cuts = frozen_graded_cuts(-0.5 * math.pi, 0.5 * math.pi, breaks, [])
-        assert_panels_equal((a[rows == k], b[rows == k]), (cuts[:-1], cuts[1:]))
+        assert_panels_equal((a[rows == r], b[rows == r]), (cuts[:-1], cuts[1:]))
+
+
+def per_piece(monkeypatch):
+    """Make area_integral integrate every piece: all orbits singletons."""
+    import logderiv.quadrature as quadrature
+
+    monkeypatch.setattr(quadrature, "_orbits", lambda t: (np.arange(len(t)), np.ones(len(t))))
+
+
+def mirrored_thetas(rng, n):
+    """n poles mirror-symmetric about a random axis c: pairs c -+ t, and
+    a pole at c itself when n is odd."""
+    t = rng.uniform(0.0, math.pi, n // 2)
+    return np.mod(rng.uniform(0.0, TWO_PI) + np.r_[t, -t, [0.0] * (n % 2)], TWO_PI)
+
+
+SYMMETRIC_SETS = [
+    *((f"equal-{n}", lambda rng, n=n: equally_spaced(n).angles) for n in range(2, 25)),
+    *((f"kfold-{n}", lambda rng, n=n: phi_thetas(rng, n, "kfold")) for n in (2, 5, 8, 12)),
+    *((f"mirrored-{n}", lambda rng, n=n: mirrored_thetas(rng, n)) for n in (3, 4, 5, 8)),
+    *((f"cluster-{gap}-{n}", lambda rng, n=n, gap=gap: case_thetas(rng, n, gap))
+      for gap in (1e-13, 4e-16) for n in (3, 5, 8)),
+]
+
+
+@pytest.mark.parametrize("i", range(len(SYMMETRIC_SETS)), ids=[s[0] for s in SYMMETRIC_SETS])
+def test_orbit_area_matches_per_piece_area(monkeypatch, i):
+    # the pieces of an orbit get the same panel trees to rounding, so the
+    # orbit's weighted piece is the sum of its pieces at any tolerance;
+    # 1e-4 keeps the per-piece integrals quick
+    name, make = SYMMETRIC_SETS[i]
+    poles = PoleSet(tuple(make(np.random.default_rng([61, i]))))
+    reps, _ = _orbits(np.array(poles.angles))
+    if not name.startswith("cluster"):
+        assert len(reps) < poles.n
+    orbit = area_integral(poles, rel_tol=1e-4)
+    per_piece(monkeypatch)
+    full = area_integral(poles, rel_tol=1e-4)
+    assert orbit.value == pytest.approx(full.value, rel=1e-14)
+    assert orbit.panels <= full.panels
+    assert orbit.function_evals <= full.function_evals
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_asymmetric_area_keeps_per_piece_bits(monkeypatch, n):
+    poles = PoleSet(tuple(np.random.default_rng([62, n]).uniform(0.0, TWO_PI, n)))
+    assert len(_orbits(np.array(poles.angles))[0]) == n
+    orbit = area_integral(poles, rel_tol=1e-6)
+    per_piece(monkeypatch)
+    assert repr(orbit) == repr(area_integral(poles, rel_tol=1e-6))
+
+
+def test_equally_spaced_sets_are_one_orbit():
+    # the worst deviation of a sorted relative angle from the first
+    # piece's here is 4 ulp(2 pi), half the tolerance
+    for n in [*range(1, 65), 128, 256, 1024]:
+        for base in (np.array(equally_spaced(n).angles), TWO_PI * np.arange(n) / n):
+            for gauge in (0.0, 0.3, 1.0, 5.9):
+                reps, counts = _orbits(np.mod(base + gauge, TWO_PI))
+                assert reps.tolist() == [0] and counts.tolist() == [n], (n, gauge)
+
+
+def test_area_partial_result_counts_every_piece(monkeypatch):
+    # the one integrated row of equally_spaced(12) stands for 12 pieces,
+    # and so does its part of the partial result
+    import logderiv.quadrature as quadrature
+
+    monkeypatch.setattr(quadrature, "_AREA_PANELS_PER_PIECE", 20)
+    with pytest.raises(ToleranceNotMet) as exc:
+        area_integral(equally_spaced(12), rel_tol=1e-10)
+    partial = exc.value.result
+    assert partial.panels > 20
+    assert partial.value == pytest.approx(elliptic_area(12), rel=1e-3)
 
 
 def test_chunked_evaluation_is_bit_identical(monkeypatch):
@@ -542,10 +651,11 @@ def test_area_integral_n3_matches_elliptic_oracle(monkeypatch):
     assert r.function_evals <= 701_550 // 5
 
 
-@pytest.mark.parametrize("n", [11, 12, 16, 24])
+@pytest.mark.parametrize("n", [11, 12, 16, 24, 32, 64])
 def test_equally_spaced_area_converges(n):
     # the radial slices missed n = 11 and 12 on near-duplicate singular
-    # angles, and 16 and 24 on their panel budget
+    # angles, and 16 and 24 on their panel budget; n = 32 and 64 reach
+    # the supported range as one orbit each
     r = area_integral(equally_spaced(n), rel_tol=1e-6)
     assert r.value == pytest.approx(elliptic_area(n), rel=1e-6)
     assert r.error_estimate <= 1e-6 * r.value

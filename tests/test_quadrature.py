@@ -368,6 +368,14 @@ def test_infinite_value_is_not_convergence():
         _integrate([(f, np.array([-1.0]), np.array([1.0]))], 1e-8, 100)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_power_raises_without_warning():
+    # at pole height 1e-155, |g|^2 overflows to inf next to the pole; the
+    # row stays pending, so the call raises and numpy need not warn
+    with pytest.raises(ToleranceNotMet):
+        lp_mean(PoleSet((1e-155, 2.0)), MeanSpec(p=2.0))
+
+
 def test_area_integral_single_pole_is_four():
     # chord-length identity: the disk integral of 1/|z - u| with |u| = 1
     r = area_integral(PoleSet((0.0,)), rel_tol=1e-7)
